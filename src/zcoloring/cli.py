@@ -40,6 +40,7 @@ from .verify import check_cd, check_grundy, check_proper, check_z, find_dominati
 HEURISTICS = ("greedy", "grundy", "gcd", "z", "iz")
 ORACLES = {"chi": exact_chi, "gamma": exact_gamma, "b": exact_b, "z": exact_z}
 FAMILY_NAMES = ("Ht", "Ft", "Gt", "Rk", "Tk")
+CHECKS = {"proper": check_proper, "grundy": check_grundy, "cd": check_cd, "z": check_z}
 
 
 def _load_graph(path: str) -> Graph:
@@ -77,10 +78,7 @@ def run_heuristic(g: Graph, name: str, rounds: int, seed: int):
 
 def _verification_flags(g: Graph, c):
     proper = check_proper(g, c).passed
-    grundy = check_grundy(g, c).passed if proper else False
-    cd = check_cd(g, c).passed if proper else False
-    zok = check_z(g, c).passed if proper else False
-    return {"proper": proper, "grundy": grundy, "cd": cd, "z": zok}
+    return {level: proper and (level == "proper" or check(g, c).passed) for level, check in CHECKS.items()}
 
 
 def _level_holds(flags: dict, level: str) -> bool:
@@ -128,12 +126,11 @@ def cmd_verify(args) -> int:
     if cg.graph != g:
         print("coloring record was made for a different graph", file=sys.stderr)
         return 2
-    checks = {"proper": check_proper, "grundy": check_grundy, "cd": check_cd, "z": check_z}
     proper = check_proper(g, cg.coloring)
     if args.level == "proper" or not proper.passed:
         verdict = proper
     else:
-        verdict = checks[args.level](g, cg.coloring)
+        verdict = CHECKS[args.level](g, cg.coloring)
     if verdict.passed:
         print(f"{args.level}: pass (k={cg.coloring.k})")
         return 0
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a coloring record against a graph")
     p_verify.add_argument("graph")
     p_verify.add_argument("coloring")
-    p_verify.add_argument("--level", choices=("proper", "grundy", "cd", "z"), default="z")
+    p_verify.add_argument("--level", choices=tuple(CHECKS), default="z")
     p_verify.set_defaults(func=cmd_verify)
 
     p_exact = sub.add_parser("exact", help="exact chi/gamma/b/z by brute force (small graphs)")

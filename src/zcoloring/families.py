@@ -42,8 +42,7 @@ def gen_Ht(t: int) -> Graph:
     """
     if t < 2:
         raise ValueError("gen_Ht requires t >= 2")
-    edges = [(i, t + j) for i in range(t) for j in range(t) if not (i == j and i < t - 1)]
-    return Graph.from_edges(2 * t, edges)
+    return gen_Ktt_minus_matching(t, t - 1)
 
 
 def ft_layout(t: int) -> dict:

@@ -272,6 +272,8 @@ def parse_coloring_record(text: str) -> ColoredGraph:
             if key in fields:
                 raise RecordError(f"line {lineno}: duplicate field {key!r}")
             fields[key] = rest
+            if key == "star":
+                star_line = lineno
         else:
             raise RecordError(f"line {lineno}: unrecognized field {key!r}")
     for required in ("n", "k", "colors"):
@@ -295,4 +297,6 @@ def parse_coloring_record(text: str) -> ColoredGraph:
     star = None
     if "star" in fields:
         star = tuple(int(x) for x in fields["star"].split())
+        if any(not 0 <= u < n for u in star):
+            raise RecordError(f"line {star_line}: star index out of range 0..{n - 1}")
     return ColoredGraph(g, c, star)

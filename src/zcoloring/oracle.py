@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Coloring, Graph
-from .reduce import z_heuristic
+from .reduce import greedy_coloring, z_heuristic
+from .verify import cd_flags, star_from
 
 
 class SizeLimitError(ValueError):
@@ -130,21 +131,6 @@ def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, leaf, 
     return dfs(0, 0)
 
 
-def _cd_masks(g: Graph, k: int, color, nbc) -> list[int] | None:
-    """Bitmask of color-dominating vertices per class, or None if some class
-    has none (also None when a class is empty)."""
-    allk = (1 << (k + 1)) - 2
-    cd = [0] * (k + 1)
-    for v in range(g.n):
-        c = color[v]
-        needed = allk & ~(1 << c)
-        if nbc[v] & needed == needed:
-            cd[c] |= 1 << v
-    if any(cd[c] == 0 for c in range(1, k + 1)):
-        return None
-    return cd
-
-
 def _find_grundy(g: Graph, k: int, explored_box):
     def leaf(color, class_mask, nbc):
         # feasibility pruning leaves every vertex saturated, so the assignment
@@ -156,29 +142,16 @@ def _find_grundy(g: Graph, k: int, explored_box):
 
 def _find_b(g: Graph, k: int, explored_box):
     def leaf(color, class_mask, nbc):
-        if any(class_mask[c] == 0 for c in range(1, k + 1)):
-            return None
-        return color[:] if _cd_masks(g, k, color, nbc) else None
+        cd = cd_flags(color, nbc, k)
+        return color[:] if len({c for c, f in zip(color, cd) if f}) == k else None
 
     return _search(g, k, grundy_prune=False, symmetric_colors=True, leaf=leaf, explored_box=explored_box)
 
 
 def _find_z(g: Graph, k: int, explored_box):
-    adjm = g.adjacency_masks()
-
     def leaf(color, class_mask, nbc):
-        if not class_mask[k]:
-            return None
-        cd = _cd_masks(g, k, color, nbc)
-        if cd is None:
-            return None
-        centers = cd[k]
-        while centers:
-            center = (centers & -centers).bit_length() - 1
-            centers &= centers - 1
-            if all(adjm[center] & cd[c] for c in range(1, k)):
-                return color[:]
-        return None
+        cd = cd_flags(color, nbc, k)
+        return color[:] if star_from(g.adj, color, cd, k) is not None else None
 
     return _search(g, k, grundy_prune=True, symmetric_colors=False, leaf=leaf, explored_box=explored_box)
 
@@ -204,14 +177,8 @@ def exact_chi(g: Graph, limit_n: int = 12) -> OracleResult:
         return OracleResult(0, Coloring(()), 0)
     adjm = g.adjacency_masks()
     order = sorted(range(n), key=lambda v: (-len(g.adj[v]), v))
-    greedy = [0] * n
-    for v in order:
-        taken = {greedy[w] for w in g.adj[v] if greedy[w]}
-        c = 1
-        while c in taken:
-            c += 1
-        greedy[v] = c
-    best = [max(greedy), greedy[:]]
+    greedy = greedy_coloring(g, order)
+    best = [greedy.k, list(greedy.colors)]
     color = [0] * n
     class_mask = [0] * (n + 2)
     explored = [0]

@@ -18,16 +18,15 @@ import random
 from dataclasses import dataclass, field
 
 from .graphs import Coloring, Graph
-from .verify import check_cd, check_grundy, check_proper, check_z, dominating_vertices
+from .verify import cd_flags, check_cd, check_grundy, check_proper, check_z, neighbor_colors, star_from
 
 
 @dataclass
 class ReductionTrace:
-    """Bookkeeping for the move bounds: (vertex, from_color, to_color) moves,
-    deleted class indices, and the scan/outer-iteration count."""
+    """Bookkeeping for the move bounds: (vertex, from_color, to_color) moves
+    and the scan/outer-iteration count."""
 
     moves: list[tuple[int, int, int]] = field(default_factory=list)
-    class_deletions: list[int] = field(default_factory=list)
     iterations: int = 0
 
 
@@ -82,7 +81,6 @@ def grundy_reduce(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
                 trace.moves.append((v, i, j))
         if not classes[i - 1]:
             del classes[i - 1]
-            trace.class_deletions.append(i)
             for idx in range(i - 1, len(classes)):
                 for v in classes[idx]:
                     color_of[v] = idx + 1
@@ -131,7 +129,6 @@ def cd_gcd_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
             color_of[v] = p
             trace.moves.append((v, j, p))
         del classes[j - 1]
-        trace.class_deletions.append(j)
         for idx in range(j - 1, len(classes)):
             for v in classes[idx]:
                 color_of[v] = idx + 1
@@ -156,27 +153,23 @@ def z_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     color_of = list(c.colors)
     trace = ReductionTrace()
     while True:
-        cur = Coloring(tuple(color_of))
-        t = cur.k
+        t = max(color_of, default=0)
         if t <= 1:
             break
-        cd_sets = [set(dominating_vertices(g, cur, j)) for j in range(1, t + 1)]
-        top = [v for v in range(g.n) if color_of[v] == t]
-        nice = None
-        for v in top:
-            nbrs = set(g.adj[v])
-            if all(cd_sets[j - 1] & nbrs for j in range(1, t)):
-                nice = v
-                break
-        if nice is not None:
+        nbc = neighbor_colors(g, color_of)
+        cd = cd_flags(color_of, nbc, t)
+        # every top vertex of a Grundy coloring is CD, so a nice vertex is
+        # exactly the center of a dominating star
+        if star_from(g.adj, color_of, cd, t) is not None:
             break
-        u = top[0]
-        u_nbrs = set(g.adj[u])
-        i_u = next(q for q in range(1, t) if not (cd_sets[q - 1] & u_nbrs))
+        u = color_of.index(t)
+        u_sees = {color_of[w] for w in g.adj[u] if cd[w]}
+        i_u = next(q for q in range(1, t) if q not in u_sees)
         recolored = [(u, t, i_u)]
-        for w in sorted(w for w in g.adj[u] if color_of[w] == i_u):
-            taken = {color_of[x] for x in g.adj[w]}
-            j_w = next(q for q in range(1, t + 1) if q != i_u and q not in taken)
+        for w in g.adj[u]:
+            if color_of[w] != i_u:
+                continue
+            j_w = next(q for q in range(1, t + 1) if q != i_u and not nbc[w] >> q & 1)
             assert i_u < j_w < t
             recolored.append((w, i_u, j_w))
         for v, _old, new in recolored:
@@ -188,8 +181,6 @@ def z_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
         color_of = list(refined.colors)
         trace.moves.extend(tr1.moves)
         trace.moves.extend(tr2.moves)
-        trace.class_deletions.extend(tr1.class_deletions)
-        trace.class_deletions.extend(tr2.class_deletions)
         trace.iterations += 1
         if trace.iterations > 4 * g.n + 4:
             raise RuntimeError("z_transform failed to converge")
@@ -204,12 +195,7 @@ def z_heuristic(g: Graph, seed_order=None) -> tuple[Coloring, ReductionTrace]:
     c, tr1 = grundy_reduce(g, c)
     c, tr2 = cd_gcd_transform(g, c)
     c, tr3 = z_transform(g, c)
-    trace = ReductionTrace(
-        moves=tr1.moves + tr2.moves + tr3.moves,
-        class_deletions=tr1.class_deletions + tr2.class_deletions + tr3.class_deletions,
-        iterations=tr3.iterations,
-    )
-    return c, trace
+    return c, ReductionTrace(tr1.moves + tr2.moves + tr3.moves, tr3.iterations)
 
 
 def complementary(g: Graph, c: Coloring, budget: int = 1000, rng_seed: int = 0) -> Coloring:
@@ -266,11 +252,7 @@ def iterated_z(g: Graph, rounds: int, rng_seed: int = 0) -> tuple[Coloring, list
         else:
             sigma = list(range(len(classes)))
             rng.shuffle(sigma)
-        order = [v for idx in sigma for v in classes[idx]]
-        c = greedy_coloring(g, order)
-        c, _ = grundy_reduce(g, c)
-        c, _ = cd_gcd_transform(g, c)
-        c, _ = z_transform(g, c)
+        c, _ = z_heuristic(g, [v for idx in sigma for v in classes[idx]])
         counts.append(c.k)
         if c.k < best.k:
             best = c

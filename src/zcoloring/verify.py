@@ -65,20 +65,61 @@ def check_proper(g: Graph, c: Coloring) -> Verdict:
     return Verdict(not violations, violations)
 
 
+def neighbor_colors(g: Graph, colors) -> list[int]:
+    """Per-vertex bitmask of the colors around it: bit c of the result at v is
+    set iff v has a neighbor of color c (the DSATUR saturation state)."""
+    nbc = [0] * g.n
+    for v, nbrs in enumerate(g.adj):
+        mask = 0
+        for w in nbrs:
+            mask |= 1 << colors[w]
+        nbc[v] = mask
+    return nbc
+
+
+def cd_flags(colors, nbc, k: int) -> list[bool]:
+    """Per-vertex flag: v sees every color of 1..k other than its own, i.e.
+    v is color-dominating among k colors."""
+    full = (1 << (k + 1)) - 2
+    return [(mask | 1 << col) & full == full for col, mask in zip(colors, nbc)]
+
+
+def star_from(adj, colors, cd, k: int) -> tuple[int, ...] | None:
+    """The dominating star (u_1..u_k) with the smallest center, then the
+    smallest u_j of each color, given the CD flags of a proper coloring whose
+    top color is k; None if no CD vertex of color k has CD neighbors of every
+    other color."""
+    for center, col in enumerate(colors):
+        if col != k or not cd[center]:
+            continue
+        picks = {}
+        for u in adj[center]:
+            if cd[u]:
+                picks.setdefault(colors[u], u)
+        if len(picks) == k - 1:
+            return tuple(picks[j] for j in range(1, k)) + (center,)
+    return None
+
+
+def _proper_masks(g: Graph, c: Coloring, caller: str) -> list[int]:
+    _require_total(g, c)
+    if not check_proper(g, c):
+        raise ValueError(f"{caller} requires a proper coloring")
+    return neighbor_colors(g, c.colors)
+
+
 def check_grundy(g: Graph, c: Coloring) -> Verdict:
     """Pass iff every vertex of color j has, for each i < j, a neighbor of color i.
 
     Raises ValueError on an improper input coloring.
     """
-    _require_total(g, c)
-    if not check_proper(g, c):
-        raise ValueError("check_grundy requires a proper coloring")
-    violations = []
-    for v in range(g.n):
-        nbr_colors = {c.colors[w] for w in g.adj[v]}
-        for i in range(1, c.colors[v]):
-            if i not in nbr_colors:
-                violations.append(Violation("missing-lower-color", vertex=v, color=i))
+    nbc = _proper_masks(g, c, "check_grundy")
+    violations = [
+        Violation("missing-lower-color", vertex=v, color=i)
+        for v, col in enumerate(c.colors)
+        for i in range(1, col)
+        if not nbc[v] >> i & 1
+    ]
     return Verdict(not violations, violations)
 
 
@@ -87,18 +128,12 @@ def dominating_vertices(g: Graph, c: Coloring, class_index: int) -> list[int]:
 
     Classes are 1..k; an out-of-range index raises ValueError.
     """
-    _require_total(g, c)
-    if not check_proper(g, c):
-        raise ValueError("dominating_vertices requires a proper coloring")
+    nbc = _proper_masks(g, c, "dominating_vertices")
     k = c.k
     if not 1 <= class_index <= k:
         raise ValueError(f"class index {class_index} out of range 1..{k}")
-    needed = set(range(1, k + 1)) - {class_index}
-    return [
-        v
-        for v in range(g.n)
-        if c.colors[v] == class_index and needed <= {c.colors[w] for w in g.adj[v]}
-    ]
+    cd = cd_flags(c.colors, nbc, k)
+    return [v for v, col in enumerate(c.colors) if col == class_index and cd[v]]
 
 
 def check_cd(g: Graph, c: Coloring) -> Verdict:
@@ -106,20 +141,17 @@ def check_cd(g: Graph, c: Coloring) -> Verdict:
 
     On pass the witness maps each class to one CD vertex.
     """
-    _require_total(g, c)
-    if not check_proper(g, c):
-        raise ValueError("check_cd requires a proper coloring")
-    violations = []
-    cd_by_class = {}
-    for j in range(1, c.k + 1):
-        cd = dominating_vertices(g, c, j)
-        if cd:
-            cd_by_class[j] = cd[0]
-        else:
-            violations.append(Violation("class-without-cd-vertex", class_index=j))
+    cd = cd_flags(c.colors, _proper_masks(g, c, "check_cd"), c.k)
+    first = {}
+    for v, col in enumerate(c.colors):
+        if cd[v]:
+            first.setdefault(col, v)
+    violations = [
+        Violation("class-without-cd-vertex", class_index=j) for j in range(1, c.k + 1) if j not in first
+    ]
     if violations:
         return Verdict(False, violations)
-    return Verdict(True, witness={"cd_vertices": cd_by_class})
+    return Verdict(True, witness={"cd_vertices": {j: first[j] for j in range(1, c.k + 1)}})
 
 
 def is_nice_vertex(g: Graph, c: Coloring, v: int) -> bool:
@@ -129,9 +161,8 @@ def is_nice_vertex(g: Graph, c: Coloring, v: int) -> bool:
     t = c.k
     if c.colors[v] != t:
         return False
-    cd_sets = {j: set(dominating_vertices(g, c, j)) for j in range(1, t)}
-    nbrs = set(g.adj[v])
-    return all(cd_sets[j] & nbrs for j in range(1, t))
+    cd = cd_flags(c.colors, _proper_masks(g, c, "is_nice_vertex"), t)
+    return len({c.colors[w] for w in g.adj[v] if cd[w]}) == t - 1
 
 
 def find_dominating_star(g: Graph, c: Coloring) -> tuple[int, ...] | None:
@@ -141,18 +172,8 @@ def find_dominating_star(g: Graph, c: Coloring) -> tuple[int, ...] | None:
     k = c.k
     if k == 0:
         return ()
-    cd_sets = [dominating_vertices(g, c, j) for j in range(1, k + 1)]
-    for center in cd_sets[k - 1]:
-        nbrs = set(g.adj[center])
-        star = []
-        for j in range(1, k):
-            pick = next((u for u in cd_sets[j - 1] if u in nbrs), None)
-            if pick is None:
-                break
-            star.append(pick)
-        else:
-            return tuple(star) + (center,)
-    return None
+    cd = cd_flags(c.colors, _proper_masks(g, c, "find_dominating_star"), k)
+    return star_from(g.adj, c.colors, cd, k)
 
 
 def check_z(g: Graph, c: Coloring) -> Verdict:
@@ -178,17 +199,14 @@ def check_z(g: Graph, c: Coloring) -> Verdict:
 
 def verify_star(g: Graph, c: Coloring, star: tuple[int, ...]) -> bool:
     """Check a claimed dominating star: u_j has color j and is CD, the last
-    vertex is adjacent to all the others."""
+    vertex is adjacent to all the others.  Out-of-range indices fail."""
     k = c.k
     if len(star) != k:
         return False
-    for j, u in enumerate(star, start=1):
-        if c.colors[u] != j:
-            return False
-        if u not in dominating_vertices(g, c, j):
-            return False
-    center = star[-1]
-    return all(g.has_edge(center, u) for u in star[:-1])
+    if any(not 0 <= u < c.n or c.colors[u] != j for j, u in enumerate(star, start=1)):
+        return False
+    cd = cd_flags(c.colors, _proper_masks(g, c, "verify_star"), k)
+    return all(cd[u] for u in star) and all(g.has_edge(star[-1], u) for u in star[:-1])
 
 
 def verdict_record(v: Verdict) -> str:

@@ -157,3 +157,9 @@ def test_record_errors():
         parse_coloring_record("n 2\nedges 0-1\nk 2\ncolors 1 2\nclass 1 1\n")
     with pytest.raises(RecordError):
         parse_coloring_record("n 2\nedges 0-1\nk 3\ncolors 1 2\n")
+
+
+def test_record_star_index_out_of_range():
+    record = "n 5\nedges 0-1 1-2 2-3 3-4\nk 3\ncolors 1 2 3 1 2\nstar 3 1 99\n"
+    with pytest.raises(RecordError, match="line 5"):
+        parse_coloring_record(record)

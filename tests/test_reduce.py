@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import random
 
@@ -15,7 +16,11 @@ from zcoloring import (
     check_z,
     complementary,
     exact_chi,
+    find_dominating_star,
+    gen_Gt,
+    gen_Ht,
     gen_Rk,
+    gen_Tk,
     greedy_coloring,
     grundy_reduce,
     iterated_z,
@@ -278,3 +283,25 @@ def test_iterated_z_every_round_output_is_z():
 def test_iterated_z_validates_rounds():
     with pytest.raises(ValueError):
         iterated_z(path_graph(3), rounds=0)
+
+
+def test_heuristic_outputs_golden():
+    # pins the records of all five heuristics and z_heuristic's move list
+    # byte for byte; the digest was taken before the neighbour-colour masks
+    # replaced the per-class predicate scans in reduce and verify
+    rng = random.Random(2011)
+    hosts = [gnp(n, p, rng) for n, p in ((30, 0.5), (60, 0.5), (200, 0.3), (1000, 0.03))]
+    hosts += [gen_Gt(5), gen_Rk(5).graph, gen_Tk(6).graph, gen_Ht(5)]
+    digest = hashlib.sha256()
+    for g in hosts:
+        greedy = greedy_coloring(g)
+        grundy, _ = grundy_reduce(g, greedy)
+        gcd, _ = cd_gcd_transform(g, grundy)
+        z, trace = z_heuristic(g)
+        iz, _ = iterated_z(g, rounds=4, rng_seed=1)
+        for c in (greedy, grundy, gcd):
+            digest.update(serialize_coloring(g, c).encode())
+        for c in (z, iz):
+            digest.update(serialize_coloring(g, c, find_dominating_star(g, c)).encode())
+        digest.update(repr((trace.moves, trace.iterations)).encode())
+    assert digest.hexdigest() == "e4a2f3009a6b258a7d7c8ac35ae834f1e1c1ec7aeb9ddbd7da45c8a878588c72"

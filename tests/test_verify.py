@@ -196,6 +196,10 @@ def test_grundy_top_class_is_all_cd():
         assert top_cd == [v for v in range(g.n) if c.colors[v] == k]
 
 
+def test_verify_star_rejects_out_of_range_index():
+    assert not verify_star(path_graph(5), Coloring((1, 2, 3, 1, 2)), (3, 1, 99))
+
+
 def test_find_dominating_star_agrees_with_check():
     rng = random.Random(8)
     for _ in range(80):
