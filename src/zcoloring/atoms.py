@@ -276,9 +276,35 @@ def embedding_valid(atom: ColoredGraph, target: Graph, mapping) -> bool:
     return True
 
 
+def _degree_masks(g: Graph, top: int) -> list[int]:
+    """deg_ok[d] is the bitmask of the vertices of g with degree >= d, for
+    d = 0..top."""
+    deg_ok = [0] * (top + 1)
+    for u, nbrs in enumerate(g.adj):
+        deg_ok[min(len(nbrs), top)] |= 1 << u
+    for d in range(top - 1, -1, -1):
+        deg_ok[d] |= deg_ok[d + 1]
+    return deg_ok
+
+
 def embed(atom: ColoredGraph, target: Graph) -> Embedding | None:
     """Complete backtracking search for an embedding of the colored atom into
     the (uncolored) target; None when none exists."""
+    return _embed(atom, target, target.adjacency_masks(), _degree_masks(target, atom.graph.max_degree()))
+
+
+def _embed(atom: ColoredGraph, target: Graph, adj: list[int], deg_ok: list[int]) -> Embedding | None:
+    """embed() on precomputed host masks: adj[u] is the neighborhood of
+    target vertex u and deg_ok[d] the target vertices of degree >= d, for d
+    up to at least the atom's largest degree.
+
+    Atom vertices are placed in a fixed order, each next to an already placed
+    neighbor where one exists.  A level's candidates are one bitmask: free
+    targets of sufficient degree, adjacent to the image of every placed
+    neighbor and non-adjacent to the image of every placed same-colored
+    vertex.  Its bits are tried in ascending order, so the first embedding
+    found is the lexicographically first in that vertex order.
+    """
     h, c = atom.graph, atom.coloring
     nh, nt = h.n, target.n
     if nh > nt:
@@ -298,36 +324,35 @@ def embed(atom: ColoredGraph, target: Graph) -> Embedding | None:
         remaining.discard(v)
 
     pos = {v: i for i, v in enumerate(order)}
-    earlier_nbrs = [[w for w in h.adj[v] if pos[w] < pos[v]] for v in order]
-    earlier_same = [
-        [w for w in range(nh) if w != v and c.colors[w] == c.colors[v] and pos[w] < pos[v]]
+    levels = [
+        (
+            v,
+            deg_ok[h.degree(v)],
+            [w for w in h.adj[v] if pos[w] < pos[v]],
+            [w for w in range(nh) if w != v and c.colors[w] == c.colors[v] and pos[w] < pos[v]],
+        )
         for v in order
     ]
-    target_deg = [target.degree(u) for u in range(nt)]
     mapping = [-1] * nh
-    used = [False] * nt
 
-    def dfs(i: int) -> bool:
+    def dfs(i: int, free: int) -> bool:
         if i == nh:
             return True
-        v = order[i]
-        dv = h.degree(v)
-        for cand in range(nt):
-            if used[cand] or target_deg[cand] < dv:
-                continue
-            if any(not target.has_edge(cand, mapping[w]) for w in earlier_nbrs[i]):
-                continue
-            if any(target.has_edge(cand, mapping[w]) for w in earlier_same[i]):
-                continue
-            mapping[v] = cand
-            used[cand] = True
-            if dfs(i + 1):
+        v, pool, nbrs, same = levels[i]
+        pool &= free
+        for w in nbrs:
+            pool &= adj[mapping[w]]
+        for w in same:
+            pool &= ~adj[mapping[w]]
+        while pool:
+            low = pool & -pool
+            mapping[v] = low.bit_length() - 1
+            if dfs(i + 1, free ^ low):
                 return True
-            used[cand] = False
-            mapping[v] = -1
+            pool ^= low
         return False
 
-    if not dfs(0):
+    if not dfs(0, (1 << nt) - 1):
         return None
     if not embedding_valid(atom, target, mapping):
         raise AssertionError("embedding search returned an invalid map")
@@ -342,9 +367,11 @@ def prove_upper_bound(g: Graph, t: int, catalog: AtomCatalog) -> Verdict:
         raise ValueError(f"catalog is for t={catalog.t}, asked about t={t}")
     if catalog.triangle_free and g.has_triangle():
         raise ValueError("triangle-filtered catalog cannot bound a graph with a triangle")
+    adj = g.adjacency_masks()
+    deg_ok = _degree_masks(g, max((a.cg.graph.max_degree() for a in catalog.atoms), default=0))
     checked = []
     for idx, atom in enumerate(catalog.atoms):
-        emb = embed(atom.cg, g)
+        emb = _embed(atom.cg, g, adj, deg_ok)
         if emb is not None:
             return Verdict(
                 False,
@@ -368,14 +395,30 @@ def catalog_to_text(catalog: AtomCatalog) -> str:
     return header + "".join("\n" + atom_record(a, catalog.t) for a in catalog.atoms)
 
 
+def _header_int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"catalog: {key} must be an integer, got {value!r}") from None
+
+
 def catalog_from_text(text: str) -> AtomCatalog:
+    """Parse the text written by catalog_to_text; malformed input raises
+    ValueError (RecordError for a bad atom record) naming the problem."""
     chunks = [c for c in text.split("\n\n") if c.strip()]
-    head = chunks[0].splitlines()[0].split()
+    if not chunks:
+        raise ValueError("empty catalog: missing 'zatoms' header")
+    head = chunks[0].strip().splitlines()[0].split()
     if head[0] != "zatoms":
         raise ValueError("not a z-atom catalog")
-    t = int(head[2])
-    triangle_free = bool(int(head[4]))
-    count = int(head[6])
+    if len(head) != 7 or head[1::2] != ["t", "triangle_free", "count"]:
+        raise ValueError(f"malformed catalog header {' '.join(head)!r}, "
+                         "expected 'zatoms t T triangle_free 0|1 count N'")
+    t = _header_int("t", head[2])
+    triangle_free = _header_int("triangle_free", head[4])
+    if triangle_free not in (0, 1):
+        raise ValueError(f"catalog: triangle_free must be 0 or 1, got {triangle_free}")
+    count = _header_int("count", head[6])
     atoms = []
     body = chunks[1:]
     for chunk in body:
@@ -384,7 +427,7 @@ def catalog_from_text(text: str) -> AtomCatalog:
         prov = ""
         for line in lines:
             if line.startswith("t "):
-                if int(line.split()[1]) != t:
+                if _header_int("atom t", line[2:].strip()) != t:
                     raise ValueError("atom t differs from catalog t")
             elif line.startswith("provenance"):
                 prov = line.partition(" ")[2]
@@ -394,4 +437,4 @@ def catalog_from_text(text: str) -> AtomCatalog:
         atoms.append(Atom(cg, prov))
     if len(atoms) != count:
         raise ValueError(f"catalog declares {count} atoms, found {len(atoms)}")
-    return AtomCatalog(t, atoms, triangle_free)
+    return AtomCatalog(t, atoms, bool(triangle_free))

@@ -10,6 +10,9 @@ from dataclasses import dataclass
 
 from .graphs import ColoredGraph, Coloring, Graph
 
+MAX_ORDER = 1 << 20
+"""Largest vertex count gen_Tk and gen_Rk will build."""
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -104,6 +107,14 @@ def gen_Gt(t: int) -> Graph:
     return Graph.from_edges(lay["n"], edges)
 
 
+def _check_order(name: str, k: int, order) -> None:
+    """Refuse k when the closed-form order(k) exceeds MAX_ORDER.  Both orders
+    are at least 2^(k-1) for k >= 4, so a k above MAX_ORDER.bit_length() is
+    refused before the (huge) number is formed."""
+    if k > MAX_ORDER.bit_length() or order(k) > MAX_ORDER:
+        raise ValueError(f"{name}: k={k} gives more than {MAX_ORDER} vertices")
+
+
 def gen_Rk(k: int) -> ColoredGraph:
     """The minimum-order tree with z-number k, with its canonic coloring.
 
@@ -116,6 +127,7 @@ def gen_Rk(k: int) -> ColoredGraph:
     """
     if k < 1:
         raise ValueError("gen_Rk requires k >= 1")
+    _check_order("gen_Rk", k, lambda j: a_sequence(j)[-1])
     colors = [k]
     edges = []
     star = []
@@ -146,6 +158,7 @@ def gen_Tk(k: int) -> ColoredGraph:
     """
     if k < 1:
         raise ValueError("gen_Tk requires k >= 1")
+    _check_order("gen_Tk", k, lambda j: 2 ** (j - 1))
     colors = [1]
     edges: list[tuple[int, int]] = []
     for level in range(2, k + 1):

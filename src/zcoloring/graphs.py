@@ -254,49 +254,75 @@ def serialize_colored_graph(cg: ColoredGraph) -> str:
     return serialize_coloring(cg.graph, cg.coloring, cg.dominating_star)
 
 
+def _record_ints(items, key: str, lineno: int) -> list[int]:
+    try:
+        return [int(x) for x in items]
+    except ValueError:
+        raise RecordError(f"line {lineno}: non-integer in {key!r} field") from None
+
+
 def parse_coloring_record(text: str) -> ColoredGraph:
-    """Parse a record produced by serialize_coloring."""
-    fields = {}
-    classes = {}
+    """Parse a record produced by serialize_coloring.  Malformed input raises
+    RecordError naming the field and, where it has one, the line."""
+    fields = {}  # key -> (line number, rest of the line)
+    classes = {}  # color -> (line number, vertices)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         key, _, rest = line.partition(" ")
         if key == "class":
-            parts = rest.split()
+            parts = _record_ints(rest.split(), "class", lineno)
             if not parts:
                 raise RecordError(f"line {lineno}: malformed class line")
-            classes[int(parts[0])] = [int(x) for x in parts[1:]]
+            classes[parts[0]] = (lineno, parts[1:])
         elif key in ("n", "edges", "k", "colors", "star"):
             if key in fields:
                 raise RecordError(f"line {lineno}: duplicate field {key!r}")
-            fields[key] = rest
-            if key == "star":
-                star_line = lineno
+            fields[key] = (lineno, rest)
         else:
             raise RecordError(f"line {lineno}: unrecognized field {key!r}")
     for required in ("n", "k", "colors"):
         if required not in fields:
             raise RecordError(f"missing field {required!r}")
-    n = int(fields["n"])
+
+    def single(key: str) -> tuple[int, int]:
+        lineno, rest = fields[key]
+        values = _record_ints(rest.split(), key, lineno)
+        if len(values) != 1:
+            raise RecordError(f"line {lineno}: field {key!r} takes one integer")
+        return lineno, values[0]
+
+    n_line, n = single("n")
+    if n < 0:
+        raise RecordError(f"line {n_line}: negative vertex count")
     edges = []
-    for item in fields.get("edges", "").split():
+    edges_line, edges_text = fields.get("edges", (0, ""))
+    for item in edges_text.split():
         u, _, v = item.partition("-")
-        edges.append((int(u), int(v)))
-    g = Graph.from_edges(n, edges)
-    colors = tuple(int(x) for x in fields["colors"].split())
+        edges.append(tuple(_record_ints((u, v), "edges", edges_line)))
+    try:
+        g = Graph.from_edges(n, edges)
+    except ValueError as exc:
+        raise RecordError(f"line {edges_line}: {exc}") from None
+    colors_line, colors_text = fields["colors"]
+    colors = tuple(_record_ints(colors_text.split(), "colors", colors_line))
     if len(colors) != n:
-        raise RecordError("colors length does not match n")
-    c = Coloring(colors)
-    if c.k != int(fields["k"]):
-        raise RecordError("k does not match colors")
-    for j, cls in classes.items():
+        raise RecordError(f"line {colors_line}: colors length does not match n")
+    try:
+        c = Coloring(colors)
+    except ValueError as exc:
+        raise RecordError(f"line {colors_line}: {exc}") from None
+    k_line, k = single("k")
+    if c.k != k:
+        raise RecordError(f"line {k_line}: k does not match colors")
+    for j, (lineno, cls) in classes.items():
         if cls != [v for v in range(n) if colors[v] == j]:
-            raise RecordError(f"class {j} inconsistent with colors")
+            raise RecordError(f"line {lineno}: class {j} inconsistent with colors")
     star = None
     if "star" in fields:
-        star = tuple(int(x) for x in fields["star"].split())
+        star_line, star_text = fields["star"]
+        star = tuple(_record_ints(star_text.split(), "star", star_line))
         if any(not 0 <= u < n for u in star):
             raise RecordError(f"line {star_line}: star index out of range 0..{n - 1}")
     return ColoredGraph(g, c, star)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,7 +14,9 @@ from zcoloring import (
     check_z,
     embed,
     exact_z,
+    gen_Gt,
     gen_Rk,
+    gen_Tk,
     generate_atoms,
     grundify,
     is_colored_isomorphic,
@@ -166,6 +169,38 @@ def test_embed_random_relabeling():
         assert emb is not None and embedding_valid(cg, h, emb.mapping)
 
 
+def _cubic_tree(n, rng):
+    # random tree whose internal vertices all have degree 3 (n even, >= 4)
+    edges = [(0, 1), (0, 2), (0, 3)]
+    leaves = [1, 2, 3]
+    for nxt in range(4, n, 2):
+        leaf = leaves.pop(rng.randrange(len(leaves)))
+        edges += [(leaf, nxt), (leaf, nxt + 1)]
+        leaves += [nxt, nxt + 1]
+    return Graph.from_edges(n, edges)
+
+
+def _gnm(n, m, rng):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, rng.sample(pairs, m))
+
+
+def test_embed_outputs_golden(d3_catalog, d4_triangle_free_catalog):
+    # pins the first embedding found (or None) for every atom of D_3 and
+    # triangle-free D_4 on each host; the digest was taken while embed still
+    # scanned every host vertex as a candidate at every search level
+    rng = random.Random(4)
+    hosts = [_cubic_tree(n, rng) for n in (10, 16, 24, 30)]
+    hosts += [_gnm(n, m, rng) for n, m in ((8, 10), (10, 14), (12, 18), (12, 24))]
+    hosts += [gen_Tk(6).graph, gen_Gt(4)]
+    digest = hashlib.sha256()
+    for g in hosts:
+        for a in d3_catalog.atoms + d4_triangle_free_catalog.atoms:
+            emb = embed(a.cg, g)
+            digest.update(repr(None if emb is None else emb.mapping).encode())
+    assert digest.hexdigest() == "13bda5b2022a003f3fc170f798f042b702dfe8bd5d5d1949cd8ea4fe584faa13"
+
+
 def test_prove_upper_bound_star_graph(d3_catalog):
     k15 = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
     verdict = prove_upper_bound(k15, 3, d3_catalog)
@@ -196,6 +231,22 @@ def test_catalog_round_trip(d3_catalog):
     for a, b in zip(d3_catalog.atoms, back.atoms):
         assert a.cg == b.cg and a.provenance == b.provenance
     assert catalog_to_text(back) == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty catalog"),
+    ("\n\n  \n", "empty catalog"),
+    ("zatoms t 3 triangle_free 0\n", "malformed catalog header"),
+    ("zatoms t 3 tri 0 count 0\n", "malformed catalog header"),
+    ("zatoms t x triangle_free 0 count 0\n", "t must be an integer"),
+    ("zatoms t 3 triangle_free no count 0\n", "triangle_free must be an integer"),
+    ("zatoms t 3 triangle_free 2 count 0\n", "triangle_free must be 0 or 1"),
+    ("zatoms t 3 triangle_free 0 count many\n", "count must be an integer"),
+    ("zatoms t 3 triangle_free 0 count 1\n\nt x\nn 1\nk 1\ncolors 1\n", "atom t must be an integer"),
+])
+def test_catalog_from_text_rejects_malformed_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        catalog_from_text(text)
 
 
 def test_atoms_have_valid_stars_and_minimal_edges(d3_catalog, d4_triangle_free_catalog):

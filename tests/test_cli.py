@@ -131,6 +131,28 @@ def test_atoms_gen_and_bound(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_atoms_bound_malformed_catalog_exits_2(tmp_path, capsys):
+    star = tmp_path / "k15.col"
+    star.write_text("p edge 6 5\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 1 6\n")
+    for name, text, message in (
+        ("empty", "", "empty catalog"),
+        ("short", "zatoms t 3\n", "malformed catalog header"),
+        ("bad_t", "zatoms t x triangle_free 0 count 0\n", "t must be an integer"),
+    ):
+        catalog = tmp_path / f"{name}.catalog"
+        catalog.write_text(text)
+        assert main(["atoms", "bound", str(star), "--t", "3", "--catalog", str(catalog)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_family_gen_size_guard(tmp_path, capsys):
+    for name, k in (("Tk", 40), ("Rk", 40), ("Tk", 22), ("Rk", 18)):
+        out = tmp_path / f"{name}{k}.col"
+        assert main(["family", "gen", "--name", name, "--k", str(k), "--out", str(out)]) == 2
+        assert "vertices" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_family_gen_all_names(tmp_path):
     for name, k in (("Ht", 3), ("Ft", 4), ("Gt", 4), ("Rk", 4), ("Tk", 4)):
         out = tmp_path / f"{name}.col"

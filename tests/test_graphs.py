@@ -163,3 +163,17 @@ def test_record_star_index_out_of_range():
     record = "n 5\nedges 0-1 1-2 2-3 3-4\nk 3\ncolors 1 2 3 1 2\nstar 3 1 99\n"
     with pytest.raises(RecordError, match="line 5"):
         parse_coloring_record(record)
+
+
+@pytest.mark.parametrize("record, field, line", [
+    ("n x\nk 1\ncolors 1\n", "n", 1),
+    ("n\nk 1\ncolors 1\n", "n", 1),
+    ("n 2\nedges 0-x\nk 1\ncolors 1 1\n", "edges", 2),
+    ("n 2\nedges 0-1\nk\ncolors 1 2\n", "k", 3),
+    ("n 2\nedges 0-1\nk 2\ncolors 1 two\n", "colors", 4),
+    ("n 2\nedges 0-1\nk 2\ncolors 1 2\nclass 1 z\n", "class", 5),
+    ("n 2\nedges 0-1\nk 2\ncolors 1 2\nstar 0 ?\n", "star", 5),
+])
+def test_record_non_integer_names_field_and_line(record, field, line):
+    with pytest.raises(RecordError, match=f"line {line}: .*'{field}'"):
+        parse_coloring_record(record)
