@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .canon import colored_canonical_form
 from .graphs import ColoredGraph, Coloring, Graph, parse_coloring_record, serialize_colored_graph
 from .oracle import z_reaches
-from .verify import Verdict, Violation, check_z, verify_star
+from .verify import Verdict, Violation, check_z, neighbor_colors, verify_star
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,8 @@ def _dedup(pairs: list[tuple[ColoredGraph, str]]) -> list[tuple[ColoredGraph, st
 
 def _club_holds(g: Graph, colors: tuple[int, ...], t: int) -> bool:
     """Each star leaf u_p (id p-1, p <= t-1) must see every color p+1..t."""
-    for p in range(1, t):
-        nbr_cols = {colors[w] for w in g.adj[p - 1]}
-        if any(ell not in nbr_cols for ell in range(p + 1, t + 1)):
-            return False
-    return True
+    nbc = neighbor_colors(g, colors)
+    return all(not (~nbc[p - 1] & ((2 << t) - (2 << p))) for p in range(1, t))  # bits p+1..t
 
 
 def _phase1_with_prov(t: int) -> list[tuple[ColoredGraph, str]]:
@@ -150,9 +147,10 @@ def _grundify_with_prov(cg: ColoredGraph, k: int) -> list[tuple[ColoredGraph, st
     colors = list(c.colors)
     classes = c.classes()
     class_k = classes[k - 1]
+    nbc = neighbor_colors(g, colors)
     deficits = []
     for i in range(1, k):
-        c_k_i = [v for v in class_k if i not in {colors[w] for w in g.adj[v]}]
+        c_k_i = [v for v in class_k if not nbc[v] >> i & 1]
         if c_k_i:
             deficits.append((i, c_k_i))
     if not deficits:

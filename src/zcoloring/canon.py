@@ -27,7 +27,7 @@ def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:
                 continue
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                sig = tuple(bin(adj[v] & m).count("1") for m in masks)
+                sig = tuple((adj[v] & m).bit_count() for m in masks)
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)

@@ -35,7 +35,7 @@ from .reduce import (
     iterated_z,
     z_heuristic,
 )
-from .verify import check_cd, check_grundy, check_proper, check_z, find_dominating_star
+from .verify import check_all, check_cd, check_grundy, check_proper, check_z
 
 HEURISTICS = ("greedy", "grundy", "gcd", "z", "iz")
 ORACLES = {"chi": exact_chi, "gamma": exact_gamma, "b": exact_b, "z": exact_z}
@@ -76,19 +76,13 @@ def run_heuristic(g: Graph, name: str, rounds: int, seed: int):
     raise ValueError(f"unknown heuristic {name!r}")
 
 
-def _verification_flags(g: Graph, c):
-    proper = check_proper(g, c).passed
-    return {level: proper and (level == "proper" or check(g, c).passed) for level, check in CHECKS.items()}
-
-
-def _level_holds(flags: dict, level: str) -> bool:
-    if level == "proper":
-        return flags["proper"]
-    if level == "grundy":
-        return flags["grundy"]
-    if level == "cd":
-        return flags["grundy"] and flags["cd"]
-    return flags["z"]
+def _verify_output(g: Graph, c, level: str):
+    """One verification pass over c: whether it meets `level` (its flag and
+    those of the levels before it in CHECKS), the four flags and the star."""
+    proper, grundy, cd, star = check_all(g, c)
+    flags = {"proper": proper.passed, "grundy": bool(grundy), "cd": bool(cd), "z": star is not None}
+    levels = list(CHECKS)
+    return all(flags[name] for name in levels[: levels.index(level) + 1]), flags, star
 
 
 def cmd_color(args) -> int:
@@ -102,11 +96,10 @@ def cmd_color(args) -> int:
         if improved.k < c.k:
             c, level = improved, "proper"
     elapsed = time.perf_counter() - start
-    flags = _verification_flags(g, c)
-    if not _level_holds(flags, level):
+    ok, flags, star = _verify_output(g, c, level)
+    if not ok:
         print(f"internal error: {args.heuristic} output failed {level} verification", file=sys.stderr)
         return 1
-    star = find_dominating_star(g, c) if flags["z"] else None
     record = serialize_coloring(g, c, star)
     if args.out:
         _write_text(args.out, record)
@@ -126,10 +119,8 @@ def cmd_verify(args) -> int:
     if cg.graph != g:
         print("coloring record was made for a different graph", file=sys.stderr)
         return 2
-    proper = check_proper(g, cg.coloring)
-    if args.level == "proper" or not proper.passed:
-        verdict = proper
-    else:
+    verdict = check_proper(g, cg.coloring)
+    if verdict and args.level != "proper":
         verdict = CHECKS[args.level](g, cg.coloring)
     if verdict.passed:
         print(f"{args.level}: pass (k={cg.coloring.k})")
@@ -147,6 +138,10 @@ def cmd_exact(args) -> int:
         result = oracle(g, args.limit) if args.limit else oracle(g)
     except SizeLimitError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"exact {args.param}: the search on {g.n} vertices is too deep for the recursion limit",
+              file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start
     if args.format == "record":
@@ -223,8 +218,7 @@ def cmd_bench(args) -> int:
             start = time.perf_counter()
             try:
                 c, level = run_heuristic(g, h, args.rounds, args.seed)
-                ok = _level_holds(_verification_flags(g, c), level)
-                cells[h] = str(c.k) if ok else "error"
+                cells[h] = str(c.k) if _verify_output(g, c, level)[0] else "error"
             except Exception:
                 cells[h] = "error"
             times[h] = time.perf_counter() - start

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from .graphs import ColoredGraph, Coloring, Graph
 
 MAX_ORDER = 1 << 20
-"""Largest vertex count gen_Tk and gen_Rk will build."""
+"""Largest vertex count (edge count for K_{t,t} minus a matching) that the
+family constructors will build."""
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,8 @@ def ft_layout(t: int) -> dict:
     """Vertex index layout of gen_Ft: the path, then the leaf blocks."""
     if t < 3:
         raise ValueError("gen_Ft requires t >= 3")
+    if t + 2 * (t - 2) + (t - 2) * (t - 3) > MAX_ORDER:
+        raise ValueError(f"gen_Ft: t={t} gives more than {MAX_ORDER} vertices")
     path = list(range(t))
     nxt = t
     leaves = {}
@@ -181,6 +184,8 @@ def gen_Ktt_minus_matching(t: int, removed: int | None = None) -> Graph:
         removed = t
     if not 0 <= removed <= t:
         raise ValueError("removed matching size out of range")
+    if t * t > MAX_ORDER:
+        raise ValueError(f"gen_Ktt_minus_matching: t={t} gives more than {MAX_ORDER} edges")
     edges = [(i, t + j) for i in range(t) for j in range(t) if not (i == j and i < removed)]
     return Graph.from_edges(2 * t, edges)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .graphs import Coloring, Graph
 from .reduce import greedy_coloring, z_heuristic
-from .verify import cd_flags, star_from
+from .verify import cd_flags, cd_witnesses, star_from
 
 
 class SizeLimitError(ValueError):
@@ -71,7 +71,7 @@ def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, leaf, 
 
     def feasible(v: int) -> bool:
         missing = ((1 << color[v]) - 2) & ~nbc[v]
-        return missing == 0 or bin(missing).count("1") <= un[v]
+        return missing == 0 or missing.bit_count() <= un[v]
 
     def dfs(idx: int, max_used: int):
         explored_box[0] += 1
@@ -82,7 +82,7 @@ def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, leaf, 
         for u in range(n):
             if color[u]:
                 continue
-            key = (bin(nbc[u]).count("1"), deg[u], -u)
+            key = (nbc[u].bit_count(), deg[u], -u)
             if key > best_key:
                 best_key = key
                 v = u
@@ -143,7 +143,7 @@ def _find_grundy(g: Graph, k: int, explored_box):
 def _find_b(g: Graph, k: int, explored_box):
     def leaf(color, class_mask, nbc):
         cd = cd_flags(color, nbc, k)
-        return color[:] if len({c for c, f in zip(color, cd) if f}) == k else None
+        return color[:] if len(cd_witnesses(color, cd)) == k else None
 
     return _search(g, k, grundy_prune=False, symmetric_colors=True, leaf=leaf, explored_box=explored_box)
 
@@ -210,24 +210,18 @@ def exact_chi(g: Graph, limit_n: int = 12) -> OracleResult:
 def exact_gamma(g: Graph, limit_n: int = 12) -> OracleResult:
     """Maximum colors of any Grundy (first-fit) coloring."""
     _check_limit(g, limit_n, "exact_gamma")
-    if g.n == 0:
-        return OracleResult(0, Coloring(()), 0)
     return _maximize(g, g.max_degree() + 1, _find_grundy)
 
 
 def exact_b(g: Graph, limit_n: int = 12) -> OracleResult:
     """Maximum colors of any color-dominating (b-) coloring."""
     _check_limit(g, limit_n, "exact_b")
-    if g.n == 0:
-        return OracleResult(0, Coloring(()), 0)
     return _maximize(g, min(g.max_degree() + 1, m_degree_bound(g)), _find_b)
 
 
 def exact_z(g: Graph, limit_n: int = 14) -> OracleResult:
     """Maximum colors of any z-coloring; 1 for edgeless graphs."""
     _check_limit(g, limit_n, "exact_z")
-    if g.n == 0:
-        return OracleResult(0, Coloring(()), 0)
     return _maximize(g, min(g.max_degree() + 1, m_degree_bound(g)), _find_z)
 
 

@@ -14,11 +14,13 @@ orders keeping the best result.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
 from .graphs import Coloring, Graph
-from .verify import cd_flags, check_cd, check_grundy, check_proper, check_z, neighbor_colors, star_from
+from .verify import (cd_flags, cd_witnesses, check_proper, check_z, colors_seen, grundy_masks, least_absent,
+                     neighbor_colors, star_from)
 
 
 @dataclass
@@ -41,19 +43,8 @@ def greedy_coloring(g: Graph, order=None) -> Coloring:
         raise ValueError("order must be a permutation of the vertices")
     colors = [0] * g.n
     for v in order:
-        taken = {colors[w] for w in g.adj[v] if colors[w]}
-        c = 1
-        while c in taken:
-            c += 1
-        colors[v] = c
+        colors[v] = least_absent(colors_seen(g.adj[v], colors))
     return Coloring(tuple(colors))
-
-
-def _classes_of(c: Coloring) -> list[set[int]]:
-    out = [set() for _ in range(c.k)]
-    for v, col in enumerate(c.colors):
-        out[col - 1].add(v)
-    return out
 
 
 def grundy_reduce(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
@@ -66,35 +57,22 @@ def grundy_reduce(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     if not check_proper(g, c):
         raise ValueError("grundy_reduce requires a proper coloring")
     color_of = list(c.colors)
-    classes = _classes_of(c)
     trace = ReductionTrace()
+    # moves only go down into classes already scanned, so each input class
+    # is scanned once, holding exactly its input vertices
     i = 2
-    while i <= len(classes):
+    for members in c.classes()[1:]:
         trace.iterations += 1
-        for v in sorted(classes[i - 1]):
-            nbr_colors = {color_of[w] for w in g.adj[v]}
-            j = next((j for j in range(1, i) if j not in nbr_colors), None)
-            if j is not None:
-                classes[i - 1].discard(v)
-                classes[j - 1].add(v)
+        for v in members:
+            j = least_absent(colors_seen(g.adj[v], color_of))
+            if j < i:
                 color_of[v] = j
                 trace.moves.append((v, i, j))
-        if not classes[i - 1]:
-            del classes[i - 1]
-            for idx in range(i - 1, len(classes)):
-                for v in classes[idx]:
-                    color_of[v] = idx + 1
+        if all(color_of[v] != i for v in members):
+            color_of = [col - (col > i) for col in color_of]
         else:
             i += 1
     return Coloring(tuple(color_of)), trace
-
-
-def _cd_vertex(g: Graph, color_of: list[int], cls: set[int], j: int, k: int) -> int | None:
-    needed = set(range(1, k + 1)) - {j}
-    for v in sorted(cls):
-        if needed <= {color_of[w] for w in g.adj[v]}:
-            return v
-    return None
 
 
 def cd_gcd_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
@@ -109,30 +87,27 @@ def cd_gcd_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     The scan goes all the way down to class 1: stopping at class 2 can leave
     class 1 without a CD vertex (e.g. the 4-path colored 1,3,2,1).
     """
-    if not check_grundy(g, c):
+    nbc = grundy_masks(g, c)
+    if nbc is None:
         raise ValueError("cd_gcd_transform requires a Grundy coloring")
     color_of = list(c.colors)
-    classes = _classes_of(c)
     trace = ReductionTrace()
-    j = len(classes) - 2
-    while j >= 1:
-        trace.iterations += 1
-        k = len(classes)
-        if _cd_vertex(g, color_of, classes[j - 1], j, k) is not None:
-            j -= 1
-            continue
-        for v in sorted(classes[j - 1]):
-            nbr_colors = {color_of[w] for w in g.adj[v]}
+    k = c.k
+    while k > 2:
+        first = cd_witnesses(color_of, cd_flags(color_of, nbc, k))
+        j = next((j for j in range(k - 2, 0, -1) if j not in first), None)
+        if j is None:
+            trace.iterations += k - 2
+            break
+        trace.iterations += k - 1 - j
+        for v in [v for v, col in enumerate(color_of) if col == j]:
             # exists: v is not CD and the Grundy property covers all lower classes
-            p = next(p for p in range(j + 1, k + 1) if p not in nbr_colors)
-            classes[p - 1].add(v)
+            p = least_absent(colors_seen(g.adj[v], color_of) | ((2 << j) - 1))
             color_of[v] = p
             trace.moves.append((v, j, p))
-        del classes[j - 1]
-        for idx in range(j - 1, len(classes)):
-            for v in classes[idx]:
-                color_of[v] = idx + 1
-        j = len(classes) - 2
+        color_of = [col - (col > j) for col in color_of]
+        k -= 1
+        nbc = neighbor_colors(g, color_of)
     return Coloring(tuple(color_of)), trace
 
 
@@ -146,30 +121,25 @@ def z_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     both reductions on the refined classes.  Either the class count or the top
     class shrinks every round, so rounds are bounded by n.
     """
-    if not check_grundy(g, c):
+    nbc = grundy_masks(g, c)
+    if nbc is None:
         raise ValueError("z_transform requires a Grundy coloring")
-    if not check_cd(g, c):
-        raise ValueError("z_transform requires a color-dominating coloring")
     color_of = list(c.colors)
+    t = c.k
+    cd = cd_flags(color_of, nbc, t)
+    if len(cd_witnesses(color_of, cd)) < t:
+        raise ValueError("z_transform requires a color-dominating coloring")
     trace = ReductionTrace()
-    while True:
-        t = max(color_of, default=0)
-        if t <= 1:
-            break
-        nbc = neighbor_colors(g, color_of)
-        cd = cd_flags(color_of, nbc, t)
-        # every top vertex of a Grundy coloring is CD, so a nice vertex is
-        # exactly the center of a dominating star
-        if star_from(g.adj, color_of, cd, t) is not None:
-            break
+    # every top vertex of a Grundy coloring is CD, so a nice vertex is
+    # exactly the center of a dominating star
+    while t > 1 and star_from(g.adj, color_of, cd, t) is None:
         u = color_of.index(t)
-        u_sees = {color_of[w] for w in g.adj[u] if cd[w]}
-        i_u = next(q for q in range(1, t) if q not in u_sees)
+        i_u = least_absent(colors_seen([w for w in g.adj[u] if cd[w]], color_of))
         recolored = [(u, t, i_u)]
         for w in g.adj[u]:
             if color_of[w] != i_u:
                 continue
-            j_w = next(q for q in range(1, t + 1) if q != i_u and not nbc[w] >> q & 1)
+            j_w = least_absent(nbc[w] | 1 << i_u)
             assert i_u < j_w < t
             recolored.append((w, i_u, j_w))
         for v, _old, new in recolored:
@@ -184,6 +154,9 @@ def z_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
         trace.iterations += 1
         if trace.iterations > 4 * g.n + 4:
             raise RuntimeError("z_transform failed to converge")
+        t = refined.k
+        nbc = neighbor_colors(g, color_of)
+        cd = cd_flags(color_of, nbc, t)
     return Coloring(tuple(color_of)), trace
 
 
@@ -214,12 +187,7 @@ def complementary(g: Graph, c: Coloring, budget: int = 1000, rng_seed: int = 0) 
         raise ValueError("complementary requires a z-coloring")
     classes = [tuple(cls) for cls in c.classes()]
     best = c
-    product_size = 1
-    for cls in classes:
-        product_size *= len(cls)
-        if product_size > budget:
-            break
-    if product_size <= budget:
+    if math.prod(map(len, classes)) <= budget:
         tuples = itertools.product(*classes)
     else:
         rng = random.Random(rng_seed)

@@ -57,10 +57,12 @@ def _require_total(g: Graph, c: Coloring) -> None:
 def check_proper(g: Graph, c: Coloring) -> Verdict:
     """Pass iff no edge joins two vertices of the same color."""
     _require_total(g, c)
+    colors = c.colors
     violations = [
-        Violation("monochromatic-edge", vertex=u, other=v, color=c.colors[u])
-        for u, v in g.edges()
-        if c.colors[u] == c.colors[v]
+        Violation("monochromatic-edge", vertex=u, other=v, color=cu)
+        for u, (nbrs, cu) in enumerate(zip(g.adj, colors))
+        for v in nbrs
+        if colors[v] == cu and u < v
     ]
     return Verdict(not violations, violations)
 
@@ -68,13 +70,29 @@ def check_proper(g: Graph, c: Coloring) -> Verdict:
 def neighbor_colors(g: Graph, colors) -> list[int]:
     """Per-vertex bitmask of the colors around it: bit c of the result at v is
     set iff v has a neighbor of color c (the DSATUR saturation state)."""
-    nbc = [0] * g.n
-    for v, nbrs in enumerate(g.adj):
+    bits = [1 << col for col in colors]
+    nbc = []
+    for nbrs in g.adj:
         mask = 0
         for w in nbrs:
-            mask |= 1 << colors[w]
-        nbc[v] = mask
+            mask |= bits[w]
+        nbc.append(mask)
     return nbc
+
+
+def colors_seen(nbrs, colors) -> int:
+    """One vertex's entry of neighbor_colors, given its neighbors `nbrs`: for
+    a coloring that changes between queries."""
+    mask = 0
+    for w in nbrs:
+        mask |= 1 << colors[w]
+    return mask
+
+
+def least_absent(mask: int) -> int:
+    """The smallest color c >= 1 whose bit is clear in mask."""
+    mask |= 1
+    return (~mask & (mask + 1)).bit_length() - 1
 
 
 def cd_flags(colors, nbc, k: int) -> list[bool]:
@@ -84,11 +102,18 @@ def cd_flags(colors, nbc, k: int) -> list[bool]:
     return [(mask | 1 << col) & full == full for col, mask in zip(colors, nbc)]
 
 
+def cd_witnesses(colors, cd) -> dict[int, int]:
+    """The smallest-index CD vertex of each class that has one."""
+    return {colors[v]: v for v in range(len(colors) - 1, -1, -1) if cd[v]}
+
+
 def star_from(adj, colors, cd, k: int) -> tuple[int, ...] | None:
     """The dominating star (u_1..u_k) with the smallest center, then the
     smallest u_j of each color, given the CD flags of a proper coloring whose
     top color is k; None if no CD vertex of color k has CD neighbors of every
     other color."""
+    if k == 0:
+        return ()
     for center, col in enumerate(colors):
         if col != k or not cd[center]:
             continue
@@ -102,10 +127,30 @@ def star_from(adj, colors, cd, k: int) -> tuple[int, ...] | None:
 
 
 def _proper_masks(g: Graph, c: Coloring, caller: str) -> list[int]:
-    _require_total(g, c)
     if not check_proper(g, c):
         raise ValueError(f"{caller} requires a proper coloring")
     return neighbor_colors(g, c.colors)
+
+
+def _grundy_verdict(colors, nbc) -> Verdict:
+    violations = [
+        Violation("missing-lower-color", vertex=v, color=i)
+        for v, col in enumerate(colors)
+        if ~nbc[v] & ((1 << col) - 2)
+        for i in range(1, col)
+        if not nbc[v] >> i & 1
+    ]
+    return Verdict(not violations, violations)
+
+
+def _cd_verdict(colors, cd, k: int) -> Verdict:
+    first = cd_witnesses(colors, cd)
+    violations = [
+        Violation("class-without-cd-vertex", class_index=j) for j in range(1, k + 1) if j not in first
+    ]
+    if violations:
+        return Verdict(False, violations)
+    return Verdict(True, witness={"cd_vertices": {j: first[j] for j in range(1, k + 1)}})
 
 
 def check_grundy(g: Graph, c: Coloring) -> Verdict:
@@ -113,14 +158,14 @@ def check_grundy(g: Graph, c: Coloring) -> Verdict:
 
     Raises ValueError on an improper input coloring.
     """
+    return _grundy_verdict(c.colors, _proper_masks(g, c, "check_grundy"))
+
+
+def grundy_masks(g: Graph, c: Coloring) -> list[int] | None:
+    """check_grundy for callers that go on to use the masks: neighbor_colors
+    of c on a pass, None on a fail."""
     nbc = _proper_masks(g, c, "check_grundy")
-    violations = [
-        Violation("missing-lower-color", vertex=v, color=i)
-        for v, col in enumerate(c.colors)
-        for i in range(1, col)
-        if not nbc[v] >> i & 1
-    ]
-    return Verdict(not violations, violations)
+    return nbc if _grundy_verdict(c.colors, nbc) else None
 
 
 def dominating_vertices(g: Graph, c: Coloring, class_index: int) -> list[int]:
@@ -141,17 +186,7 @@ def check_cd(g: Graph, c: Coloring) -> Verdict:
 
     On pass the witness maps each class to one CD vertex.
     """
-    cd = cd_flags(c.colors, _proper_masks(g, c, "check_cd"), c.k)
-    first = {}
-    for v, col in enumerate(c.colors):
-        if cd[v]:
-            first.setdefault(col, v)
-    violations = [
-        Violation("class-without-cd-vertex", class_index=j) for j in range(1, c.k + 1) if j not in first
-    ]
-    if violations:
-        return Verdict(False, violations)
-    return Verdict(True, witness={"cd_vertices": {j: first[j] for j in range(1, c.k + 1)}})
+    return _cd_verdict(c.colors, cd_flags(c.colors, _proper_masks(g, c, "check_cd"), c.k), c.k)
 
 
 def is_nice_vertex(g: Graph, c: Coloring, v: int) -> bool:
@@ -162,39 +197,42 @@ def is_nice_vertex(g: Graph, c: Coloring, v: int) -> bool:
     if c.colors[v] != t:
         return False
     cd = cd_flags(c.colors, _proper_masks(g, c, "is_nice_vertex"), t)
-    return len({c.colors[w] for w in g.adj[v] if cd[w]}) == t - 1
+    return colors_seen([w for w in g.adj[v] if cd[w]], c.colors) == (1 << t) - 2
 
 
 def find_dominating_star(g: Graph, c: Coloring) -> tuple[int, ...] | None:
     """Search for a star (u_1..u_k) of CD vertices, u_j of color j, with u_k
     adjacent to every other u_j.  Exact: every CD vertex of color k is tried
     as the center; smallest-index choices make the result deterministic."""
-    k = c.k
-    if k == 0:
-        return ()
-    cd = cd_flags(c.colors, _proper_masks(g, c, "find_dominating_star"), k)
-    return star_from(g.adj, c.colors, cd, k)
+    cd = cd_flags(c.colors, _proper_masks(g, c, "find_dominating_star"), c.k)
+    return star_from(g.adj, c.colors, cd, c.k)
+
+
+def check_all(g: Graph, c: Coloring):
+    """check_proper, check_grundy and check_cd of c and its dominating star
+    (None unless c is Grundy and CD), from one properness check and one
+    neighbour-colour mask; all but the first are None if c is improper."""
+    proper = check_proper(g, c)
+    if not proper:
+        return proper, None, None, None
+    nbc = neighbor_colors(g, c.colors)
+    cd = cd_flags(c.colors, nbc, c.k)
+    grundy = _grundy_verdict(c.colors, nbc)
+    cd_verdict = _cd_verdict(c.colors, cd, c.k)
+    star = star_from(g.adj, c.colors, cd, c.k) if grundy and cd_verdict else None
+    return proper, grundy, cd_verdict, star
 
 
 def check_z(g: Graph, c: Coloring) -> Verdict:
     """Pass iff c is proper, Grundy, color-dominating, and admits a dominating
     star.  Failures come back as verdicts, never exceptions."""
-    _require_total(g, c)
-    proper = check_proper(g, c)
-    if not proper:
-        return proper
-    grundy = check_grundy(g, c)
-    if not grundy:
-        return grundy
-    cd = check_cd(g, c)
-    if not cd:
-        return cd
-    star = find_dominating_star(g, c)
+    proper, grundy, cd, star = check_all(g, c)
+    for verdict in (proper, grundy, cd):
+        if not verdict:
+            return verdict
     if star is None:
         return Verdict(False, [Violation("no-dominating-star", class_index=c.k)])
-    witness = {"star": star}
-    witness.update(cd.witness or {})
-    return Verdict(True, witness=witness)
+    return Verdict(True, witness={"star": star, **cd.witness})
 
 
 def verify_star(g: Graph, c: Coloring, star: tuple[int, ...]) -> bool:

@@ -2,7 +2,15 @@ import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph
 
-from zcoloring import Coloring, parse_coloring_record, parse_dimacs, serialize_coloring, to_dimacs
+from zcoloring import (
+    Coloring,
+    Graph,
+    greedy_coloring,
+    parse_coloring_record,
+    parse_dimacs,
+    serialize_coloring,
+    to_dimacs,
+)
 from zcoloring.cli import main
 
 
@@ -64,6 +72,52 @@ def test_color_budget_runs_complementary_pass(tmp_path, capsys):
     assert with_budget.coloring.k <= plain.coloring.k
 
 
+# `color --format table` summaries without the time, recorded before the four
+# flags came from one verification pass; the 7-vertex graph's greedy coloring
+# is 1 1 2 3 4 2 2 (Grundy, not CD), and on the 10-vertex graph the
+# complementary pass finds a 3-coloring that is CD but not Grundy
+TABLE_FLAGS = {
+    ("P5", "greedy"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("P5", "grundy"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("P5", "gcd"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("P5", "z"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("C6", "greedy"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("C6", "grundy"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("C6", "gcd"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("C6", "z"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("H3", "greedy"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("H3", "grundy"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("H3", "gcd"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("H3", "z"): "k=2 proper=ok grundy=ok cd=ok z=ok",
+    ("G7", "greedy"): "k=4 proper=ok grundy=ok cd=NO z=NO",
+    ("G7", "grundy"): "k=4 proper=ok grundy=ok cd=NO z=NO",
+    ("G7", "gcd"): "k=3 proper=ok grundy=ok cd=ok z=ok",
+    ("G7", "z"): "k=3 proper=ok grundy=ok cd=ok z=ok",
+    ("G10", "z"): "k=4 proper=ok grundy=ok cd=ok z=ok",
+    ("G10", "z --budget 30"): "k=3 proper=ok grundy=NO cd=ok z=NO",
+}
+
+
+def test_color_table_flags_pinned(tmp_path, capsys):
+    from zcoloring import gen_Ht
+
+    hosts = {
+        "P5": path_graph(5),
+        "C6": cycle_graph(6),
+        "H3": gen_Ht(3),
+        "G7": Graph.from_edges(7, [(0, 2), (0, 4), (0, 5), (0, 6), (1, 3), (2, 3), (2, 4), (3, 4), (4, 6)]),
+        "G10": Graph.from_edges(10, [(0, 4), (0, 5), (1, 3), (1, 4), (1, 6), (2, 7), (4, 5), (4, 9), (5, 6),
+                                     (5, 7), (5, 9), (6, 7), (7, 8), (7, 9), (8, 9)]),
+    }
+    assert greedy_coloring(hosts["G7"]).colors == (1, 1, 2, 3, 4, 2, 2)
+    for (name, heuristic), expected in TABLE_FLAGS.items():
+        path = tmp_path / f"{name}.col"
+        path.write_text(to_dimacs(hosts[name]))
+        assert main(["color", str(path), "--heuristic", *heuristic.split()]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith(f"{path}: {expected} time=")
+
+
 def test_verify_c6_z_level(tmp_path):
     graph = tmp_path / "c6.col"
     graph.write_text(to_dimacs(cycle_graph(6)))
@@ -118,6 +172,18 @@ def test_exact_size_limit(tmp_path, capsys):
     assert main(["exact", str(big), "--param", "z", "--limit", "20"]) == 0
 
 
+def test_exact_deep_search_exits_2(tmp_path, capsys):
+    path = tmp_path / "path2000.col"
+    path.write_text(to_dimacs(path_graph(2000)))
+    assert main(["exact", str(path), "--param", "gamma", "--limit", "3000"]) == 2
+    err = capsys.readouterr().err
+    assert "too deep" in err and len(err.splitlines()) == 1
+    path = tmp_path / "path900.col"
+    path.write_text(to_dimacs(path_graph(900)))
+    assert main(["exact", str(path), "--param", "gamma", "--limit", "900"]) == 0
+    assert " = 3 " in capsys.readouterr().out
+
+
 def test_atoms_gen_and_bound(tmp_path, capsys):
     catalog = tmp_path / "d3.catalog"
     assert main(["atoms", "gen", "--t", "3", "--out", str(catalog)]) == 0
@@ -150,6 +216,12 @@ def test_family_gen_size_guard(tmp_path, capsys):
         out = tmp_path / f"{name}{k}.col"
         assert main(["family", "gen", "--name", name, "--k", str(k), "--out", str(out)]) == 2
         assert "vertices" in capsys.readouterr().err
+        assert not out.exists()
+    # K_{t,t} has t^2 edges and F_t has t^2 - 2t + 2 vertices
+    for name, unit in (("Ht", "edges"), ("Gt", "vertices"), ("Ft", "vertices")):
+        out = tmp_path / f"{name}.col"
+        assert main(["family", "gen", "--name", name, "--k", "6000", "--out", str(out)]) == 2
+        assert f"gives more than 1048576 {unit}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -305,3 +305,120 @@ def test_heuristic_outputs_golden():
             digest.update(serialize_coloring(g, c, find_dominating_star(g, c)).encode())
         digest.update(repr((trace.moves, trace.iterations)).encode())
     assert digest.hexdigest() == "e4a2f3009a6b258a7d7c8ac35ae834f1e1c1ec7aeb9ddbd7da45c8a878588c72"
+
+
+# Set-based reference copies of grundy_reduce and cd_gcd_transform as they
+# were before the reduce stages moved to neighbour-colour masks.
+
+
+def _ref_classes_of(c):
+    out = [set() for _ in range(c.k)]
+    for v, col in enumerate(c.colors):
+        out[col - 1].add(v)
+    return out
+
+
+def ref_grundy_reduce(g, c):
+    if not check_proper(g, c):
+        raise ValueError("grundy_reduce requires a proper coloring")
+    color_of = list(c.colors)
+    classes = _ref_classes_of(c)
+    moves, iterations = [], 0
+    i = 2
+    while i <= len(classes):
+        iterations += 1
+        for v in sorted(classes[i - 1]):
+            nbr_colors = {color_of[w] for w in g.adj[v]}
+            j = next((j for j in range(1, i) if j not in nbr_colors), None)
+            if j is not None:
+                classes[i - 1].discard(v)
+                classes[j - 1].add(v)
+                color_of[v] = j
+                moves.append((v, i, j))
+        if not classes[i - 1]:
+            del classes[i - 1]
+            for idx in range(i - 1, len(classes)):
+                for v in classes[idx]:
+                    color_of[v] = idx + 1
+        else:
+            i += 1
+    return Coloring(tuple(color_of)), moves, iterations
+
+
+def _ref_cd_vertex(g, color_of, cls, j, k):
+    needed = set(range(1, k + 1)) - {j}
+    for v in sorted(cls):
+        if needed <= {color_of[w] for w in g.adj[v]}:
+            return v
+    return None
+
+
+def ref_cd_gcd_transform(g, c):
+    if not check_grundy(g, c):
+        raise ValueError("cd_gcd_transform requires a Grundy coloring")
+    color_of = list(c.colors)
+    classes = _ref_classes_of(c)
+    moves, iterations = [], 0
+    j = len(classes) - 2
+    while j >= 1:
+        iterations += 1
+        k = len(classes)
+        if _ref_cd_vertex(g, color_of, classes[j - 1], j, k) is not None:
+            j -= 1
+            continue
+        for v in sorted(classes[j - 1]):
+            nbr_colors = {color_of[w] for w in g.adj[v]}
+            p = next(p for p in range(j + 1, k + 1) if p not in nbr_colors)
+            classes[p - 1].add(v)
+            color_of[v] = p
+            moves.append((v, j, p))
+        del classes[j - 1]
+        for idx in range(j - 1, len(classes)):
+            for v in classes[idx]:
+                color_of[v] = idx + 1
+        j = len(classes) - 2
+    return Coloring(tuple(color_of)), moves, iterations
+
+
+def _same_as_reference(stage, reference, g, c):
+    try:
+        expected = reference(g, c)
+    except ValueError:
+        with pytest.raises(ValueError):
+            stage(g, c)
+        return False
+    out, trace = stage(g, c)
+    assert (out, trace.moves, trace.iterations) == expected
+    return True
+
+
+def test_reduce_stages_match_set_based_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def colored_graphs(draw):
+        # any coloring with colors 1..n+2: proper or not, normalized or not
+        n = draw(st.integers(1, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
+        colors = draw(st.lists(st.integers(1, n + 2), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            # bump colors upward until proper
+            for v in range(n):
+                while any(colors[w] == colors[v] for w in g.adj[v] if w < v):
+                    colors[v] += 1
+        return g, Coloring(tuple(colors)), draw(st.permutations(range(n)))
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(colored_graphs())
+    def check(case):
+        g, c, order = case
+        if _same_as_reference(grundy_reduce, ref_grundy_reduce, g, c):
+            reduced, _ = grundy_reduce(g, c)
+            assert _same_as_reference(cd_gcd_transform, ref_cd_gcd_transform, g, reduced)
+        # a proper coloring may or may not be Grundy; both sides must agree
+        _same_as_reference(cd_gcd_transform, ref_cd_gcd_transform, g, c)
+        assert _same_as_reference(cd_gcd_transform, ref_cd_gcd_transform, g, greedy_coloring(g, order))
+
+    check()

@@ -9,12 +9,16 @@ import pytest
 from zcoloring import (
     Coloring,
     Graph,
+    check_cd,
     check_grundy,
+    check_proper,
+    check_z,
     dominating_vertices,
     find_dominating_star,
     greedy_coloring,
     is_nice_vertex,
 )
+from zcoloring.verify import check_all
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -78,3 +82,31 @@ def test_predicates_match_naive_reference(case):
     for v in range(g.n):
         assert is_nice_vertex(g, c, v) == naive_nice(g, c, v)
     assert find_dominating_star(g, c) == naive_star(g, c)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(graphs_with_proper_colorings(), st.booleans())
+def test_one_pass_matches_separate_predicates(case, clash):
+    g, c = case
+    if clash and g.m:
+        u, v = g.edges()[0]
+        colors = list(c.colors)
+        colors[v] = colors[u]
+        c = Coloring(tuple(colors))
+    proper, grundy, cd, star = check_all(g, c)
+    z = check_z(g, c)
+    if not check_proper(g, c):
+        assert (proper, grundy, cd, star) == (check_proper(g, c), None, None, None)
+        assert z == proper
+        return
+    assert grundy == check_grundy(g, c) and cd == check_cd(g, c)
+    assert grundy.passed == (not naive_missing(g, c))
+    assert cd.passed == all(naive_dominating(g, c, j) for j in range(1, c.k + 1))
+    assert star == (naive_star(g, c) if grundy and cd else None)
+    first_failure = next((v for v in (grundy, cd) if not v), None)
+    if first_failure is not None:
+        assert z == first_failure
+    elif star is None:
+        assert [str(x) for x in z.violations] == [f"no-dominating-star class={c.k}"]
+    else:
+        assert z.passed and z.witness == {"star": star, **cd.witness}
