@@ -35,12 +35,11 @@ from .reduce import (
     iterated_z,
     z_heuristic,
 )
-from .verify import check_all, check_cd, check_grundy, check_proper, check_z
+from .verify import LEVELS, check_all, check_level
 
 HEURISTICS = ("greedy", "grundy", "gcd", "z", "iz")
 ORACLES = {"chi": exact_chi, "gamma": exact_gamma, "b": exact_b, "z": exact_z}
 FAMILY_NAMES = ("Ht", "Ft", "Gt", "Rk", "Tk")
-CHECKS = {"proper": check_proper, "grundy": check_grundy, "cd": check_cd, "z": check_z}
 
 
 def _load_graph(path: str) -> Graph:
@@ -78,11 +77,10 @@ def run_heuristic(g: Graph, name: str, rounds: int, seed: int):
 
 def _verify_output(g: Graph, c, level: str):
     """One verification pass over c: whether it meets `level` (its flag and
-    those of the levels before it in CHECKS), the four flags and the star."""
+    those of the levels before it in LEVELS), the four flags and the star."""
     proper, grundy, cd, star = check_all(g, c)
     flags = {"proper": proper.passed, "grundy": bool(grundy), "cd": bool(cd), "z": star is not None}
-    levels = list(CHECKS)
-    return all(flags[name] for name in levels[: levels.index(level) + 1]), flags, star
+    return all(flags[name] for name in LEVELS[: LEVELS.index(level) + 1]), flags, star
 
 
 def cmd_color(args) -> int:
@@ -119,9 +117,7 @@ def cmd_verify(args) -> int:
     if cg.graph != g:
         print("coloring record was made for a different graph", file=sys.stderr)
         return 2
-    verdict = check_proper(g, cg.coloring)
-    if verdict and args.level != "proper":
-        verdict = CHECKS[args.level](g, cg.coloring)
+    verdict = check_level(g, cg.coloring, args.level)
     if verdict.passed:
         print(f"{args.level}: pass (k={cg.coloring.k})")
         return 0
@@ -256,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a coloring record against a graph")
     p_verify.add_argument("graph")
     p_verify.add_argument("coloring")
-    p_verify.add_argument("--level", choices=tuple(CHECKS), default="z")
+    p_verify.add_argument("--level", choices=LEVELS, default="z")
     p_verify.set_defaults(func=cmd_verify)
 
     p_exact = sub.add_parser("exact", help="exact chi/gamma/b/z by brute force (small graphs)")
@@ -309,7 +305,7 @@ def main(argv=None) -> int:
     except (DimacsError, RecordError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except ValueError as exc:

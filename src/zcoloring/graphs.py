@@ -120,10 +120,6 @@ class Coloring:
         if any((not isinstance(c, int)) or c < 1 for c in self.colors):
             raise ValueError("colors must be integers >= 1")
 
-    @classmethod
-    def from_iterable(cls, colors) -> "Coloring":
-        return cls(tuple(colors))
-
     @property
     def n(self) -> int:
         return len(self.colors)

@@ -10,6 +10,15 @@ The maximization oracles probe target counts downward from max_degree+1
 admits a coloring.  The backtracking engine assigns vertices in descending
 degree order with properness pruning; Grundy-style targets additionally prune
 any vertex whose missing lower colors exceed its unassigned neighbors.
+
+Class-witness pruning: a b- or z-coloring with k colors has a
+color-dominating vertex (one that sees the k-1 other colors) in every class,
+and a Grundy k-coloring has one in class k.  The engine cuts a branch as soon
+as some such class can no longer get one: no vertex of that color, and no
+uncolored vertex that may still take it, sees enough colors plus uncolored
+neighbors to reach k-1.  The cut subtrees hold no solution, so values and
+witnesses are those of the unpruned search; only `OracleResult.explored`
+(the node count `zcolor exact --format table` prints) reads lower.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Coloring, Graph
-from .reduce import greedy_coloring, z_heuristic
+from .reduce import greedy_coloring
 from .verify import cd_flags, cd_witnesses, star_from
 
 
@@ -48,13 +57,21 @@ def _check_limit(g: Graph, limit_n: int, what: str) -> None:
         raise SizeLimitError(f"{what}: graph has {g.n} vertices, limit is {limit_n}")
 
 
-def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, leaf, explored_box):
+def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, required: int, leaf,
+            explored_box):
     """Find a proper coloring with colors in 1..k accepted by `leaf`, or None.
 
     `leaf(color, class_mask, nbc)` sees the complete assignment; `nbc[v]` is
     the bitmask of colors present in v's neighborhood (bit c = color c).
     Vertices are picked most-saturated-first (DSATUR style, degree then index
     as deterministic tie-breaks) so contradictions surface early.
+
+    `required` is the bitmask of the colors whose class must contain a
+    color-dominating vertex for `leaf` to accept.  A vertex can still become
+    one only if the colors it sees plus its uncolored neighbors reach k-1;
+    such a vertex covers its own color, or if uncolored every color it does
+    not see.  A node where some required color is left uncovered is cut: that
+    sum never grows deeper in the branch, so no leaf below it is accepted.
     """
     n = g.n
     if n == 0:
@@ -79,13 +96,21 @@ def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, leaf, 
             return leaf(color, class_mask, nbc)
         v = -1
         best_key = (-1, -1, 1)
+        cover = 0
         for u in range(n):
+            seen = nbc[u].bit_count()
             if color[u]:
+                if seen + un[u] >= k - 1:
+                    cover |= 1 << color[u]
                 continue
-            key = (nbc[u].bit_count(), deg[u], -u)
+            if seen + un[u] >= k - 1:
+                cover |= ~nbc[u]
+            key = (seen, deg[u], -u)
             if key > best_key:
                 best_key = key
                 v = u
+        if required & ~cover:
+            return None
         av = adjm[v]
         vbit = 1 << v
         top = min(k, max_used + 1) if symmetric_colors else k
@@ -137,7 +162,9 @@ def _find_grundy(g: Graph, k: int, explored_box):
         # is Grundy by construction; only the top color needs checking
         return color[:] if class_mask[k] else None
 
-    return _search(g, k, grundy_prune=True, symmetric_colors=False, leaf=leaf, explored_box=explored_box)
+    # a vertex of color k sees all of 1..k-1, so it is color-dominating
+    return _search(g, k, grundy_prune=True, symmetric_colors=False, required=1 << k,
+                   leaf=leaf, explored_box=explored_box)
 
 
 def _find_b(g: Graph, k: int, explored_box):
@@ -145,7 +172,8 @@ def _find_b(g: Graph, k: int, explored_box):
         cd = cd_flags(color, nbc, k)
         return color[:] if len(cd_witnesses(color, cd)) == k else None
 
-    return _search(g, k, grundy_prune=False, symmetric_colors=True, leaf=leaf, explored_box=explored_box)
+    return _search(g, k, grundy_prune=False, symmetric_colors=True, required=(1 << (k + 1)) - 2,
+                   leaf=leaf, explored_box=explored_box)
 
 
 def _find_z(g: Graph, k: int, explored_box):
@@ -153,7 +181,9 @@ def _find_z(g: Graph, k: int, explored_box):
         cd = cd_flags(color, nbc, k)
         return color[:] if star_from(g.adj, color, cd, k) is not None else None
 
-    return _search(g, k, grundy_prune=True, symmetric_colors=False, leaf=leaf, explored_box=explored_box)
+    # the star u_1..u_k holds a color-dominating vertex of every class
+    return _search(g, k, grundy_prune=True, symmetric_colors=False, required=(1 << (k + 1)) - 2,
+                   leaf=leaf, explored_box=explored_box)
 
 
 def _maximize(g: Graph, start_k: int, finder) -> OracleResult:
@@ -239,17 +269,13 @@ def find_z_coloring(g: Graph, k: int) -> Coloring | None:
 def z_reaches(g: Graph, t: int) -> bool:
     """Exact decision whether z(g) >= t.
 
-    The z heuristic is tried first as a cheap certificate; otherwise every
-    target count from t up to the degree bounds is searched, since z-colorings
-    do not interpolate (K_n admits only the n-coloring).
+    Every target count from t up to the degree bounds is searched, since
+    z-colorings do not interpolate (K_n admits only the n-coloring).
     """
     if t <= 1:
         return g.n >= t
     if g.n == 0:
         return False
-    coloring, _ = z_heuristic(g)
-    if coloring.k >= t:
-        return True
     top = min(g.max_degree() + 1, m_degree_bound(g))
     explored = [0]
     for k in range(t, top + 1):

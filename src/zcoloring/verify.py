@@ -223,16 +223,32 @@ def check_all(g: Graph, c: Coloring):
     return proper, grundy, cd_verdict, star
 
 
-def check_z(g: Graph, c: Coloring) -> Verdict:
-    """Pass iff c is proper, Grundy, color-dominating, and admits a dominating
-    star.  Failures come back as verdicts, never exceptions."""
+LEVELS = ("proper", "grundy", "cd", "z")
+
+
+def check_level(g: Graph, c: Coloring, level: str) -> Verdict:
+    """The verdict of check_proper, check_grundy, check_cd or check_z (level
+    "proper", "grundy", "cd" or "z") from one check_all pass; an improper c
+    fails every level with its properness violations instead of raising."""
+    if level not in LEVELS:
+        raise ValueError(f"unknown level {level!r}, expected one of {', '.join(LEVELS)}")
     proper, grundy, cd, star = check_all(g, c)
-    for verdict in (proper, grundy, cd):
+    if not proper:
+        return proper
+    if level != "z":
+        return {"proper": proper, "grundy": grundy, "cd": cd}[level]
+    for verdict in (grundy, cd):
         if not verdict:
             return verdict
     if star is None:
         return Verdict(False, [Violation("no-dominating-star", class_index=c.k)])
     return Verdict(True, witness={"star": star, **cd.witness})
+
+
+def check_z(g: Graph, c: Coloring) -> Verdict:
+    """Pass iff c is proper, Grundy, color-dominating, and admits a dominating
+    star.  Failures come back as verdicts, never exceptions."""
+    return check_level(g, c, "z")
 
 
 def verify_star(g: Graph, c: Coloring, star: tuple[int, ...]) -> bool:

@@ -145,6 +145,64 @@ def test_verify_z_level_recomputes_without_stored_star(tmp_path):
     assert main(["verify", str(graph), str(rec), "--level", "z"]) == 1
 
 
+VERIFY_CASES = {
+    # name: (n, edges, colors)
+    "z": (6, [(i, (i + 1) % 6) for i in range(6)], (3, 2, 1, 3, 2, 1)),
+    "improper": (4, [(0, 1), (1, 2), (0, 2), (2, 3)], (1, 1, 1, 1)),
+    "not-grundy-not-cd": (3, [], (1, 2, 2)),
+    "cd-not-grundy": (3, [(0, 2)], (2, 2, 1)),
+    "grundy-not-cd": (4, [(0, 3), (1, 2), (1, 3)], (1, 3, 1, 2)),
+    "grundy-cd-no-star": (8, [(0, 5), (0, 6), (1, 3), (1, 4), (1, 6), (2, 7), (3, 4), (3, 7),
+                              (4, 5), (4, 6), (4, 7), (5, 6)], (2, 1, 1, 4, 3, 1, 4, 2)),
+}
+IMPROPER = ("violation: monochromatic-edge vertex=0 other=1 color=1\n"
+            "violation: monochromatic-edge vertex=0 other=2 color=1\n"
+            "violation: monochromatic-edge vertex=1 other=2 color=1\n"
+            "violation: monochromatic-edge vertex=2 other=3 color=1\n")
+MISSING_1_AT_1_2 = ("violation: missing-lower-color vertex=1 color=1\n"
+                    "violation: missing-lower-color vertex=2 color=1\n")
+VERIFY_EXPECTED = {
+    ("z", "proper"): (0, "proper: pass (k=3)\n"),
+    ("z", "grundy"): (0, "grundy: pass (k=3)\n"),
+    ("z", "cd"): (0, "cd: pass (k=3)\n"),
+    ("z", "z"): (0, "z: pass (k=3)\n"),
+    ("improper", "proper"): (1, IMPROPER),
+    ("improper", "grundy"): (1, IMPROPER),
+    ("improper", "cd"): (1, IMPROPER),
+    ("improper", "z"): (1, IMPROPER),
+    ("not-grundy-not-cd", "proper"): (0, "proper: pass (k=2)\n"),
+    ("not-grundy-not-cd", "grundy"): (1, MISSING_1_AT_1_2),
+    ("not-grundy-not-cd", "cd"): (1, "violation: class-without-cd-vertex class=1\n"
+                                     "violation: class-without-cd-vertex class=2\n"),
+    ("not-grundy-not-cd", "z"): (1, MISSING_1_AT_1_2),
+    ("cd-not-grundy", "proper"): (0, "proper: pass (k=2)\n"),
+    ("cd-not-grundy", "grundy"): (1, "violation: missing-lower-color vertex=1 color=1\n"),
+    ("cd-not-grundy", "cd"): (0, "cd: pass (k=2)\n"),
+    ("cd-not-grundy", "z"): (1, "violation: missing-lower-color vertex=1 color=1\n"),
+    ("grundy-not-cd", "proper"): (0, "proper: pass (k=3)\n"),
+    ("grundy-not-cd", "grundy"): (0, "grundy: pass (k=3)\n"),
+    ("grundy-not-cd", "cd"): (1, "violation: class-without-cd-vertex class=1\n"),
+    ("grundy-not-cd", "z"): (1, "violation: class-without-cd-vertex class=1\n"),
+    ("grundy-cd-no-star", "proper"): (0, "proper: pass (k=4)\n"),
+    ("grundy-cd-no-star", "grundy"): (0, "grundy: pass (k=4)\n"),
+    ("grundy-cd-no-star", "cd"): (0, "cd: pass (k=4)\n"),
+    ("grundy-cd-no-star", "z"): (1, "violation: no-dominating-star class=4\n"),
+}
+
+
+def test_verify_output_pinned(tmp_path, capsys):
+    # exit code and stdout of every level on records that fail at each step;
+    # the text was recorded when verify still checked properness separately
+    for name, (n, edges, colors) in VERIFY_CASES.items():
+        g = Graph.from_edges(n, edges)
+        graph, rec = tmp_path / f"{name}.col", tmp_path / f"{name}.rec"
+        graph.write_text(to_dimacs(g))
+        rec.write_text(serialize_coloring(g, Coloring(colors)))
+        for level in ("proper", "grundy", "cd", "z"):
+            code = main(["verify", str(graph), str(rec), "--level", level])
+            assert (code, capsys.readouterr().out) == VERIFY_EXPECTED[name, level], (name, level)
+
+
 def test_verify_wrong_graph_is_usage_error(tmp_path):
     graph = tmp_path / "k2.col"
     graph.write_text(to_dimacs(complete_graph(2)))
@@ -287,6 +345,14 @@ def test_parse_failure_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code():
     assert main(["color", "/nonexistent.col"]) == 2
+
+
+def test_directory_instead_of_file_exits_2(tmp_path, p5_file, capsys):
+    for argv in (["color", str(tmp_path)],
+                 ["atoms", "bound", p5_file, "--t", "4", "--catalog", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Is a directory" in err
 
 
 def test_usage_error_exit_code():

@@ -2,6 +2,7 @@
 colorings with the verify-module predicates; the oracles must agree with it
 on every small graph."""
 
+import hashlib
 import itertools
 import random
 
@@ -187,3 +188,93 @@ def test_m_degree_bound():
     assert m_degree_bound(complete_graph(4)) == 4
     assert m_degree_bound(Graph.from_edges(5, [(0, i) for i in range(1, 5)])) == 2
     assert m_degree_bound(Graph.from_edges(3, [])) == 1
+
+
+def test_oracle_outputs_golden():
+    # pins value and witness of the maximization oracles, z_reaches and
+    # find_z_coloring; the digest was taken before the search learned to cut
+    # branches where a class can no longer get a color-dominating vertex
+    rng = random.Random(2026)
+    hosts = [gnp(rng.randint(1, 9), rng.choice([0.25, 0.4, 0.6, 0.8]), rng) for _ in range(60)]
+    hosts += [path_graph(5), cycle_graph(6), gen_Ktt_minus_matching(4), gen_Ktt_minus_matching(5, 4),
+              gen_Ht(3), gen_Ft(4)]
+    digest = hashlib.sha256()
+    for g in hosts:
+        for oracle in (exact_gamma, exact_b, exact_z):
+            res = oracle(g)
+            digest.update(repr((res.value, res.witness.colors)).encode())
+        digest.update(repr([z_reaches(g, t) for t in range(2, 6)]).encode())
+        for k in range(1, 6):
+            found = find_z_coloring(g, k)
+            digest.update(repr(None if found is None else found.colors).encode())
+    assert digest.hexdigest() == "bead9260ab4faed59cbd917fad009eac886424ab0de5975b93971adf75465edb"
+
+
+def _independent_partitions(g):
+    """Every partition of the vertices into independent sets, as block lists."""
+    blocks = []
+
+    def place(v):
+        if v == g.n:
+            yield [list(b) for b in blocks]
+            return
+        for b in blocks:
+            if not any(g.has_edge(v, u) for u in b):
+                b.append(v)
+                yield from place(v + 1)
+                b.pop()
+        blocks.append([v])
+        yield from place(v + 1)
+        blocks.pop()
+
+    yield from place(0)
+
+
+def _naive_z_counts(g):
+    """Every k for which g has a z-coloring with exactly k colors: each
+    labelling of each partition into independent sets, checked against the
+    definition (Grundy, and a color-k vertex seeing color-dominating
+    neighbours of every other color while being one itself)."""
+    counts = set()
+    for blocks in _independent_partitions(g):
+        k = len(blocks)
+        if k in counts:
+            continue
+        for labels in itertools.permutations(range(1, k + 1)):
+            color = [0] * g.n
+            for label, block in zip(labels, blocks):
+                for v in block:
+                    color[v] = label
+            seen = [{color[w] for w in g.adj[v]} for v in range(g.n)]
+            if any(not set(range(1, color[v])) <= seen[v] for v in range(g.n)):
+                continue
+            dom = [seen[v] | {color[v]} == set(range(1, k + 1)) for v in range(g.n)]
+            if any(color[u] == k and dom[u]
+                   and {color[w] for w in g.adj[u] if dom[w]} == set(range(1, k))
+                   for u in range(g.n)):
+                counts.add(k)
+                break
+    return counts
+
+
+def test_find_z_coloring_matches_naive_enumeration():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def small_graphs(draw):
+        n = draw(st.integers(0, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(small_graphs())
+    def check(g):
+        counts = _naive_z_counts(g)
+        for k in range(1, g.n + 2):
+            found = find_z_coloring(g, k)
+            assert (found is not None) == (k in counts), (g.edges(), k)
+            if found is not None:
+                assert found.k == k and check_z(g, found).passed
+
+    check()

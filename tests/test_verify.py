@@ -20,7 +20,7 @@ from zcoloring import (
     verify_star,
 )
 from zcoloring.randgraphs import gnp
-from zcoloring.verify import find_dominating_star, verdict_record
+from zcoloring.verify import check_level, find_dominating_star, verdict_record
 
 
 C6 = cycle_graph(6)
@@ -226,3 +226,8 @@ def test_verdict_record_shape():
     assert "star" in rec
     bad = verdict_record(check_proper(complete_graph(2), Coloring((1, 1))))
     assert bad.startswith("passed 0\nviolation monochromatic-edge")
+
+
+def test_check_level_rejects_unknown_level():
+    with pytest.raises(ValueError, match="unknown level 'b'"):
+        check_level(path_graph(3), Coloring((1, 2, 1)), "b")
