@@ -5,9 +5,12 @@ tests; inputs are size-limited so typical calls stay well under a second
 (dense balanced-bipartite hosts near the limit are the slow extreme, since
 refuting high targets there defeats the local pruning).
 
-The maximization oracles probe target counts downward from max_degree+1
-(capped by the degree bound for b and z) and stop at the first target that
-admits a coloring.  The backtracking engine assigns vertices in descending
+The b and z oracles probe target counts downward from max_degree+1 (capped
+by the degree bound) and stop at the first target that admits a coloring.
+The gamma oracle takes its value from a memoized recursion over maximal
+independent sets (`_grundy_number`) and makes one probe, at that value, for
+the witness; its `explored` counts the subsets the recursion solved plus the
+nodes of that probe.  The backtracking engine assigns vertices in descending
 degree order with properness pruning; Grundy-style targets additionally prune
 any vertex whose missing lower colors exceed its unassigned neighbors.
 
@@ -186,14 +189,104 @@ def _find_z(g: Graph, k: int, explored_box):
                    leaf=leaf, explored_box=explored_box)
 
 
+def _maximal_independent_sets(closed: list[int], s: int):
+    """Yield every maximal independent set of G[s] as a vertex mask.
+
+    `closed[v]` is v's closed neighbourhood mask.  Bron-Kerbosch on the
+    complement with the Tomita pivot, on an explicit stack: R is the set so
+    far, P the vertices that may still join it and X those already tried.
+    """
+    stack = [(0, s, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                yield r
+            continue
+        # pivot: the vertex of P | X whose closed neighbourhood leaves the
+        # fewest branches in P
+        branch = p
+        fewest = p.bit_count()
+        scan = p | x
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            cand = p & closed[low.bit_length() - 1]
+            count = cand.bit_count()
+            if count < fewest:
+                branch, fewest = cand, count
+                if count <= 1:
+                    break
+        children = []
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            keep = ~closed[low.bit_length() - 1]
+            children.append((r | low, p & keep, x & keep))
+            p ^= low
+            x |= low
+        stack.extend(reversed(children))
+
+
+def _grundy_number(g: Graph, explored_box) -> int:
+    """Grundy number of g by a subset recursion over maximal independent sets.
+
+    Class 1 of a Grundy coloring is a maximal independent set I and the
+    other classes, shifted down by one, form a Grundy coloring of G - I;
+    conversely any such pair is one.  So Gamma(G[S]) = 1 + max over maximal
+    independent sets I of G[S] of Gamma(G[S - I]), with Gamma(empty) = 0.
+    Values are memoized by vertex mask; recursion depth stays <= Gamma.
+    Gamma(H) <= Delta(H) + 1 cuts twice: a subset stops once its best reaches
+    that bound, and a child whose bound cannot beat the best is skipped.
+    `explored_box` counts the subsets solved.
+    """
+    if g.n == 0:
+        return 0
+    adjm = g.adjacency_masks()
+    closed = [a | (1 << v) for v, a in enumerate(adjm)]
+    memo = {0: 0}
+
+    def bound(s: int) -> int:
+        top = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = (adjm[low.bit_length() - 1] & s).bit_count()
+            if d > top:
+                top = d
+        return top + 1
+
+    def solve(s: int, top: int) -> int:
+        explored_box[0] += 1
+        best = 0
+        for mis in _maximal_independent_sets(closed, s):
+            rest = s & ~mis
+            val = memo.get(rest)
+            if val is None:
+                rest_top = bound(rest)
+                if rest_top < best:
+                    continue
+                val = solve(rest, rest_top)
+            if val + 1 > best:
+                best = val + 1
+                if best >= top:
+                    break
+        memo[s] = best
+        return best
+
+    full = (1 << g.n) - 1
+    return solve(full, bound(full))
+
+
 def _maximize(g: Graph, start_k: int, finder) -> OracleResult:
     explored = [0]
     for k in range(start_k, 1, -1):
         found = finder(g, k, explored)
         if found is not None:
             return OracleResult(k, Coloring(tuple(found)), explored[0])
-    # any graph with an edge admits a 2-color witness for all three
-    # maximization targets, so falling through means the graph is edgeless
+    # any graph with an edge admits a 2-color b- and z-coloring, so falling
+    # through means the graph is edgeless
     assert g.m == 0
     return OracleResult(1 if g.n else 0, Coloring((1,) * g.n), explored[0])
 
@@ -238,9 +331,17 @@ def exact_chi(g: Graph, limit_n: int = 12) -> OracleResult:
 
 
 def exact_gamma(g: Graph, limit_n: int = 12) -> OracleResult:
-    """Maximum colors of any Grundy (first-fit) coloring."""
+    """Maximum colors of any Grundy (first-fit) coloring.  The value comes
+    from `_grundy_number`; the witness is the first one the search finds with
+    exactly that many colors."""
     _check_limit(g, limit_n, "exact_gamma")
-    return _maximize(g, g.max_degree() + 1, _find_grundy)
+    explored = [0]
+    k = _grundy_number(g, explored)
+    if k <= 1:
+        # edgeless: every vertex takes color 1
+        return OracleResult(k, Coloring((1,) * g.n), explored[0])
+    found = _find_grundy(g, k, explored)
+    return OracleResult(k, Coloring(tuple(found)), explored[0])
 
 
 def exact_b(g: Graph, limit_n: int = 12) -> OracleResult:

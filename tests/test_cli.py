@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph, small_graphs
 
 from zcoloring import (
     Coloring,
@@ -11,7 +11,8 @@ from zcoloring import (
     serialize_coloring,
     to_dimacs,
 )
-from zcoloring.cli import main
+from zcoloring import exact_gamma, reduce
+from zcoloring.cli import ORACLES, main
 
 
 @pytest.fixture
@@ -240,6 +241,69 @@ def test_exact_deep_search_exits_2(tmp_path, capsys):
     path.write_text(to_dimacs(path_graph(900)))
     assert main(["exact", str(path), "--param", "gamma", "--limit", "900"]) == 0
     assert " = 3 " in capsys.readouterr().out
+
+
+def test_exact_never_raises_on_fuzzed_files(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "fuzz.col"
+
+    @st.composite
+    def mutated_dimacs(draw):
+        # a valid file with a few bytes inserted, replaced or deleted
+        data = bytearray(to_dimacs(draw(small_graphs(st, 8))).encode())
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(data)))
+            byte = draw(st.integers(0, 255))
+            op = draw(st.sampled_from(("insert", "replace", "delete")))
+            if op == "insert":
+                data.insert(at, byte)
+            elif at < len(data):
+                if op == "replace":
+                    data[at] = byte
+                else:
+                    del data[at]
+        return bytes(data)
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 2), (argv, path.read_bytes())
+        return code, out
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.one_of(st.binary(max_size=120), mutated_dimacs()))
+    def check_bytes(data):
+        path.write_bytes(data)
+        for param in ORACLES:
+            run(["exact", str(path), "--param", param])
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(small_graphs(st, 8))
+    def check_valid(g):
+        path.write_text(to_dimacs(g))
+        for param in ORACLES:
+            code, out = run(["exact", str(path), "--param", param, "--format", "record"])
+            assert code == 0
+            if param == "gamma":
+                res = exact_gamma(g)
+                assert out == f"param gamma\nvalue {res.value}\n" + serialize_coloring(g, res.witness)
+
+    check_bytes()
+    check_valid()
+
+
+def test_color_reports_z_transform_failure_in_one_line(p5_file, monkeypatch, capsys):
+    def stuck(g, c):
+        raise RuntimeError("z_transform failed to converge")
+
+    monkeypatch.setattr(reduce, "z_transform", stuck)
+    for extra in ([], ["--heuristic", "iz"], ["--budget", "5"], ["--format", "record"]):
+        assert main(["color", p5_file, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+        assert "failed to converge" in captured.err
 
 
 def test_atoms_gen_and_bound(tmp_path, capsys):

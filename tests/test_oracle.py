@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph, small_graphs
 
 from zcoloring import (
     Coloring,
@@ -261,14 +261,8 @@ def test_find_z_coloring_matches_naive_enumeration():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @st.composite
-    def small_graphs(draw):
-        n = draw(st.integers(0, 7))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
-
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
-    @hypothesis.given(small_graphs())
+    @hypothesis.given(small_graphs(st, 7))
     def check(g):
         counts = _naive_z_counts(g)
         for k in range(1, g.n + 2):
@@ -278,3 +272,66 @@ def test_find_z_coloring_matches_naive_enumeration():
                 assert found.k == k and check_z(g, found).passed
 
     check()
+
+
+def _first_fit_max(g):
+    """Largest color count of first-fit over every vertex order, stopping
+    early at max_degree+1, which no first-fit coloring exceeds."""
+    top = max((len(a) for a in g.adj), default=-1) + 1
+    best = 0
+    for order in itertools.permutations(range(g.n)):
+        color = [0] * g.n
+        for v in order:
+            seen = {color[w] for w in g.adj[v]}
+            c = 1
+            while c in seen:
+                c += 1
+            color[v] = c
+        best = max(best, max(color, default=0))
+        if best == top:
+            break
+    return best
+
+
+def test_gamma_matches_first_fit_over_all_orders():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(small_graphs(st, 7))
+    def check(g):
+        res = exact_gamma(g)
+        assert res.value == _first_fit_max(g), g.edges()
+        assert res.witness.k == res.value and check_grundy(g, res.witness).passed
+
+    check()
+
+
+def test_gamma_pinned_on_dense_14_vertex_graph():
+    # value and witness as the downward probes found them (290 890 nodes)
+    # before the value came from the maximal-independent-set recursion
+    res = exact_gamma(gnp(14, 0.45, random.Random(1)), limit_n=14)
+    assert res.value == 7
+    digest = hashlib.sha256(repr(res.witness.colors).encode()).hexdigest()
+    assert digest == "cbf81946eab111137d8b482e60710a3d59fccd6c4491163cf450017112e44c19"
+
+
+def test_exact_gamma_probes_once_at_its_value(monkeypatch):
+    from zcoloring import oracle
+
+    real = oracle._find_grundy
+    calls = []
+
+    def spy(g, k, explored_box):
+        calls.append(k)
+        return real(g, k, explored_box)
+
+    monkeypatch.setattr(oracle, "_find_grundy", spy)
+    rng = random.Random(43)
+    hosts = [gnp(rng.randint(2, 9), rng.choice([0.3, 0.6]), rng) for _ in range(30)]
+    for g in hosts + [gen_Ht(3), complete_graph(5), path_graph(5)]:
+        if g.m == 0:
+            continue
+        calls.clear()
+        res = exact_gamma(g)
+        assert calls == [res.value]
