@@ -10,6 +10,8 @@ gives byte-identical output across runs.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import random
 import sys
 import time
@@ -25,7 +27,7 @@ from .graphs import (
     serialize_coloring,
     to_dimacs,
 )
-from .oracle import SizeLimitError, exact_b, exact_chi, exact_gamma, exact_z
+from .oracle import SizeLimitError, check_limit, exact_b, exact_chi, exact_gamma, exact_z
 from .randgraphs import gnp
 from .reduce import (
     cd_gcd_transform,
@@ -42,9 +44,9 @@ ORACLES = {"chi": exact_chi, "gamma": exact_gamma, "b": exact_b, "z": exact_z}
 FAMILY_NAMES = ("Ht", "Ft", "Gt", "Rk", "Tk")
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str, check_n=None) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_dimacs(fh.read())
+        return parse_dimacs(fh.read(), check_n)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -132,11 +134,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    g = _load_graph(args.input)
     oracle = ORACLES[args.param]
-    start = time.perf_counter()
+    limit = args.limit or inspect.signature(oracle).parameters["limit_n"].default
     try:
-        result = oracle(g, args.limit) if args.limit else oracle(g)
+        # the problem line's vertex count meets the limit before the graph is built
+        g = _load_graph(args.input, lambda n: check_limit(n, limit, f"exact_{args.param}"))
+        start = time.perf_counter()
+        result = oracle(g, limit)
     except SizeLimitError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -239,7 +243,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The zcolor argument parser, built once per process and shared."""
     parser = argparse.ArgumentParser(prog="zcolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -303,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DimacsError, RecordError) as exc:

@@ -163,12 +163,17 @@ class ColoredGraph:
 # DIMACS .col format
 
 
-def parse_dimacs(text) -> Graph:
-    """Parse DIMACS .col text ("c" comments, "p edge n m", "e u v" 1-indexed)."""
-    return read_dimacs(text)[0]
+def parse_dimacs(text, check_n=None) -> Graph:
+    """Parse DIMACS .col text ("c" comments, "p edge n m", "e u v" 1-indexed).
+
+    `check_n`, if given, is called with the problem line's vertex count as
+    soon as that line is read; it may raise to reject a graph too large for
+    the caller before any per-vertex storage is allocated.
+    """
+    return read_dimacs(text, check_n)[0]
 
 
-def read_dimacs(text) -> tuple[Graph, list[str]]:
+def read_dimacs(text, check_n=None) -> tuple[Graph, list[str]]:
     """Like parse_dimacs but also returns the comment lines encountered."""
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -194,6 +199,8 @@ def read_dimacs(text) -> tuple[Graph, list[str]]:
                 raise DimacsError(f"line {lineno}: malformed problem line {line!r}") from None
             if n < 0:
                 raise DimacsError(f"line {lineno}: negative vertex count")
+            if check_n is not None:
+                check_n(n)
         elif parts[0] == "e":
             if n is None:
                 raise DimacsError(f"line {lineno}: edge before problem line")

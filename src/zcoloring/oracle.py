@@ -7,6 +7,12 @@ refuting high targets there defeats the local pruning).
 
 The b and z oracles probe target counts downward from max_degree+1 (capped
 by the degree bound) and stop at the first target that admits a coloring.
+Every z-coloring is a b-coloring (the star vertex of each class sees all the
+others), so a z probe runs the b search first and returns None when it
+fails; the b search, whose colors are interchangeable, refutes a target far
+faster than the ordered z search.  Only when a b-coloring with k colors
+exists does the z search run, so values and witnesses are those of the z
+search alone, and z's `explored` includes the nodes of the b probes.
 The gamma oracle takes its value from a memoized recursion over maximal
 independent sets (`_grundy_number`) and makes one probe, at that value, for
 the witness; its `explored` counts the subsets the recursion solved plus the
@@ -55,9 +61,10 @@ def m_degree_bound(g: Graph) -> int:
     return best
 
 
-def _check_limit(g: Graph, limit_n: int, what: str) -> None:
-    if g.n > limit_n:
-        raise SizeLimitError(f"{what}: graph has {g.n} vertices, limit is {limit_n}")
+def check_limit(n: int, limit_n: int, what: str) -> None:
+    """Raise SizeLimitError when an n-vertex graph exceeds the oracle's limit."""
+    if n > limit_n:
+        raise SizeLimitError(f"{what}: graph has {n} vertices, limit is {limit_n}")
 
 
 def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, required: int, leaf,
@@ -180,6 +187,10 @@ def _find_b(g: Graph, k: int, explored_box):
 
 
 def _find_z(g: Graph, k: int, explored_box):
+    # every z-coloring is a b-coloring, and the b search refutes k far faster
+    if _find_b(g, k, explored_box) is None:
+        return None
+
     def leaf(color, class_mask, nbc):
         cd = cd_flags(color, nbc, k)
         return color[:] if star_from(g.adj, color, cd, k) is not None else None
@@ -294,7 +305,7 @@ def _maximize(g: Graph, start_k: int, finder) -> OracleResult:
 def exact_chi(g: Graph, limit_n: int = 12) -> OracleResult:
     """Minimum colors of any proper coloring, by branch and bound with the
     first vertex pinned to color 1 and colors introduced in order."""
-    _check_limit(g, limit_n, "exact_chi")
+    check_limit(g.n, limit_n, "exact_chi")
     n = g.n
     if n == 0:
         return OracleResult(0, Coloring(()), 0)
@@ -334,7 +345,7 @@ def exact_gamma(g: Graph, limit_n: int = 12) -> OracleResult:
     """Maximum colors of any Grundy (first-fit) coloring.  The value comes
     from `_grundy_number`; the witness is the first one the search finds with
     exactly that many colors."""
-    _check_limit(g, limit_n, "exact_gamma")
+    check_limit(g.n, limit_n, "exact_gamma")
     explored = [0]
     k = _grundy_number(g, explored)
     if k <= 1:
@@ -346,18 +357,20 @@ def exact_gamma(g: Graph, limit_n: int = 12) -> OracleResult:
 
 def exact_b(g: Graph, limit_n: int = 12) -> OracleResult:
     """Maximum colors of any color-dominating (b-) coloring."""
-    _check_limit(g, limit_n, "exact_b")
+    check_limit(g.n, limit_n, "exact_b")
     return _maximize(g, min(g.max_degree() + 1, m_degree_bound(g)), _find_b)
 
 
 def exact_z(g: Graph, limit_n: int = 14) -> OracleResult:
     """Maximum colors of any z-coloring; 1 for edgeless graphs."""
-    _check_limit(g, limit_n, "exact_z")
+    check_limit(g.n, limit_n, "exact_z")
     return _maximize(g, min(g.max_degree() + 1, m_degree_bound(g)), _find_z)
 
 
 def find_z_coloring(g: Graph, k: int) -> Coloring | None:
-    """Exact decision: some z-coloring with exactly k colors, or None."""
+    """Exact decision: some z-coloring with exactly k colors, or None.
+
+    A k with no b-coloring is refuted by the b search alone."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
@@ -371,7 +384,9 @@ def z_reaches(g: Graph, t: int) -> bool:
     """Exact decision whether z(g) >= t.
 
     Every target count from t up to the degree bounds is searched, since
-    z-colorings do not interpolate (K_n admits only the n-coloring).
+    z-colorings do not interpolate (K_n admits only the n-coloring).  Each
+    target is first probed by the b search, and one with no b-coloring is
+    refuted there.
     """
     if t <= 1:
         return g.n >= t

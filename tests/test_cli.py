@@ -12,7 +12,7 @@ from zcoloring import (
     to_dimacs,
 )
 from zcoloring import exact_gamma, reduce
-from zcoloring.cli import ORACLES, main
+from zcoloring.cli import ORACLES, build_parser, main
 
 
 @pytest.fixture
@@ -231,6 +231,34 @@ def test_exact_size_limit(tmp_path, capsys):
     assert main(["exact", str(big), "--param", "z", "--limit", "20"]) == 0
 
 
+def test_exact_rejects_oversized_problem_line_before_building(tmp_path, monkeypatch, capsys):
+    real = Graph.from_edges.__func__
+    built = []
+
+    def spy(cls, n, edges):
+        # fail instead of allocating, so the unguarded path cannot exhaust memory
+        assert n <= 20, f"from_edges asked for {n} vertices"
+        built.append(n)
+        return real(cls, n, edges)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(spy))
+    huge = tmp_path / "huge.col"
+    huge.write_text("p edge 100000000 0\n")
+    for param, limit in (("chi", 12), ("gamma", 12), ("b", 12), ("z", 14)):
+        assert main(["exact", str(huge), "--param", param]) == 2
+        assert capsys.readouterr().err == (
+            f"exact_{param}: graph has 100000000 vertices, limit is {limit}\n")
+    over = tmp_path / "over.col"
+    over.write_text("p edge 21 1\ne 1 2\n")
+    assert main(["exact", str(over), "--param", "z", "--limit", "20"]) == 2
+    assert capsys.readouterr().err == "exact_z: graph has 21 vertices, limit is 20\n"
+    assert built == []
+    at_limit = tmp_path / "at_limit.col"
+    at_limit.write_text("p edge 20 0\n")
+    assert main(["exact", str(at_limit), "--param", "z", "--limit", "20"]) == 0
+    assert built == [20]
+
+
 def test_exact_deep_search_exits_2(tmp_path, capsys):
     path = tmp_path / "path2000.col"
     path.write_text(to_dimacs(path_graph(2000)))
@@ -423,3 +451,110 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["color"])
     assert err.value.code == 2
+
+
+@pytest.fixture
+def cli_files(tmp_path, p5_file, d3_catalog):
+    """A graph, a coloring record and a catalog for it, a malformed file and a directory."""
+    from zcoloring import catalog_to_text
+
+    record = tmp_path / "p5.rec"
+    assert main(["color", p5_file, "--out", str(record), "--format", "record"]) == 0
+    catalog = tmp_path / "d3.catalog"
+    catalog.write_text(catalog_to_text(d3_catalog))
+    bad = tmp_path / "bad.col"
+    bad.write_text("p edge 2 1\ne 1 7\n")
+    return {"graph": p5_file, "record": str(record), "catalog": str(catalog),
+            "bad": str(bad), "dir": str(tmp_path)}
+
+
+def _run(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_main_reuses_one_parser_across_calls(cli_files, capsys):
+    f = cli_files
+    jobs = [
+        ["color", f["graph"], "--heuristic", "iz", "--seed", "3", "--format", "record"],
+        ["exact", f["graph"], "--param", "b", "--format", "record"],
+        ["color"],
+        ["verify", f["graph"], f["record"], "--level", "cd"],
+        ["exact", f["graph"], "--param", "z", "--limit", "3"],
+        ["atoms", "bound", f["graph"], "--t", "3", "--catalog", f["catalog"]],
+        ["family", "gen", "--name", "Rk", "--k", "3"],
+        ["bench", f["graph"], "--heuristics", "greedy,gcd", "--format", "record"],
+        ["color", f["bad"]],
+        ["color", f["graph"], "--heuristic", "grundy", "--format", "record"],
+    ]
+    fresh = []
+    for argv in jobs:
+        build_parser.cache_clear()
+        fresh.append(_run(argv, capsys))
+    assert build_parser() is build_parser()
+    reused = [_run(argv, capsys) for argv in jobs]
+    assert reused == fresh
+    assert [code for code, _ in fresh] == [0, 0, 2, 0, 2, 1, 0, 0, 2, 0]
+
+
+def test_main_never_raises_on_random_argv(cli_files, tmp_path, monkeypatch, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # outputs go to tmp_path and never over the input files, so every example
+    # sees the same inputs; sizes stay small so every run is quick
+    monkeypatch.chdir(tmp_path)
+    f = cli_files
+    outs = ["-", "out.txt", f["dir"], str(tmp_path / "no" / "such.txt")]
+    paths = [*f.values(), str(tmp_path / "missing.col")]
+    small = ["-1", "0", "1", "2", "3"]
+    flag_values = {
+        "--heuristic": ["greedy", "grundy", "gcd", "z", "iz"], "--rounds": small,
+        "--budget": small, "--seed": small, "--out": outs, "--format": ["table", "record"],
+        "--level": ["proper", "grundy", "cd", "z"], "--param": list(ORACLES),
+        "--limit": small, "--t": small, "--catalog": paths, "--name": ["Ht", "Ft", "Gt", "Rk", "Tk"],
+        "--k": small, "--coloring-out": outs, "--heuristics": ["greedy,z", "gcd", "z,nope", ""],
+        "--random": ["5,0.5,1", "3,x,1", "4,2.0,1", "-1,0.5,1", "6"],
+    }
+    junk = ["x", "1.5", "", "-h", "--bogus", "--triangle-free", "--allow-large", *outs]
+    commands = [
+        (["color", f["graph"]], ["--heuristic", "--rounds", "--budget", "--seed", "--out", "--format"]),
+        (["verify", f["graph"], f["record"]], ["--level"]),
+        # listed twice: exact runs only with a --param
+        (["exact", f["graph"]], ["--param", "--param", "--limit", "--format"]),
+        (["atoms", "gen"], ["--t", "--out", "--triangle-free", "--allow-large"]),
+        (["atoms", "bound", f["graph"]], ["--t", "--catalog"]),
+        (["family", "gen"], ["--name", "--k", "--out", "--coloring-out"]),
+        (["bench"], ["--heuristics", "--rounds", "--seed", "--random", "--format"]),
+    ]
+    # no input path here, so no --out can overwrite one
+    everything = ["color", "verify", "exact", "atoms", "gen", "bound", "family", "bench",
+                  *flag_values, *junk]
+
+    def rarely(draw):
+        return draw(st.sampled_from(range(8))) == 7
+
+    @st.composite
+    def argvs(draw):
+        if rarely(draw):
+            return draw(st.lists(st.sampled_from(everything), max_size=6))
+        head, flags = draw(st.sampled_from(commands))
+        argv = list(head)
+        for _ in range(draw(st.integers(0, 5))):
+            flag = draw(st.sampled_from(flags))
+            argv.append(flag)
+            if flag in flag_values:
+                argv.append(draw(st.sampled_from(junk if rarely(draw) else flag_values[flag])))
+        if rarely(draw):
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(junk)))
+        return argv
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(argvs())
+    def check(argv):
+        code, _ = _run(argv, capsys)
+        assert code in (0, 1, 2), argv
+
+    check()

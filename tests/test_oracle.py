@@ -335,3 +335,16 @@ def test_exact_gamma_probes_once_at_its_value(monkeypatch):
         calls.clear()
         res = exact_gamma(g)
         assert calls == [res.value]
+
+
+@pytest.mark.parametrize("n, p, digest, parent_nodes, most", [
+    (10, 0.8, "2159da883a28555da4690e13d8977e935f0fb9b58cd3291e423ba6807207ec6e", 229_992, 1_000),
+    (12, 0.7, "b8438a82dc47d360e3195e9b666d44cedc690d390c691e0b50e1b45f26a4b29c", 1_246_315, 5_000),
+], ids=["gnp10_0.8", "gnp12_0.7"])
+def test_z_pinned_on_dense_hosts(n, p, digest, parent_nodes, most):
+    # value and witness as the ordered z search alone found them
+    # (`parent_nodes` nodes) before targets were refuted through the b search
+    res = exact_z(gnp(n, p, random.Random(1)))
+    assert res.value == 6
+    assert hashlib.sha256(repr(res.witness.colors).encode()).hexdigest() == digest
+    assert res.explored < most < parent_nodes
