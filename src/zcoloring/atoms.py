@@ -2,12 +2,14 @@
 
 An atom with z-number t is an edge-minimal colored graph whose embedding in a
 host graph is necessary for the host to have z-number >= t.  Atoms are built
-in two phases from a colored star on t vertices: Phase I wires lower star
-leaves to higher-colored neighbor sets in all edge-minimal ways; Phase II
-"grundifies" each color class top-down, branching over every way of supplying
-the missing lower colors.  The catalog keeps one representative per
-color-preserving isomorphism class and drops members that are not
-edge-minimal with respect to z-number.
+in two phases from a colored star on t vertices: Phase I gives each lower
+star leaf its higher colors; Phase II "grundifies" each color class top-down,
+supplying the missing lower colors.  Both phases branch through one lazy
+enumerator: a vertex missing color i is wired to an existing color-i vertex
+or shares a fresh color-i leaf with a block of such vertices.  Each stage's
+candidates are filtered and deduplicated once, keeping the first
+representative per color-preserving isomorphism class, and the catalog drops
+members that are not edge-minimal with respect to z-number.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ def _set_partitions(items: list[int]):
         yield [[first]] + part
 
 
-def _dedup(pairs: list[tuple[ColoredGraph, str]]) -> list[tuple[ColoredGraph, str]]:
+def _dedup(pairs) -> list[tuple[ColoredGraph, str]]:
+    """The first (colored graph, provenance) pair of each color-preserving
+    isomorphism class, in input order."""
     seen = {}
     for cg, prov in pairs:
         cert = colored_canonical_form(cg)
@@ -68,121 +72,86 @@ def _dedup(pairs: list[tuple[ColoredGraph, str]]) -> list[tuple[ColoredGraph, st
 
 
 # ---------------------------------------------------------------------------
+# Supplying missing colors, shared by Phase I and grundify
+
+
+def _supply(g: Graph, colors, needs):
+    """Lazily yield (ColoredGraph, choice) for every way of supplying the
+    missing colors of `needs`, a list of (color, needy vertices, existing
+    targets).  For each color a subset of the needy vertices is wired to the
+    targets (any target for each) and the rest is split into blocks that
+    each share one fresh leaf of that color, numbered in choice order.  The
+    choice lists (color, wired pairs, blocks) per need; the order is that of
+    itertools.product over the needs, with subsets by size, then targets,
+    then partitions.  With no needs the input comes back unchanged."""
+    if not needs:
+        yield ColoredGraph(g, Coloring(tuple(colors))), ()
+        return
+    (color, needy, targets), rest = needs[0], needs[1:]
+    base, n = g.edges(), len(colors)
+    for r in range(len(needy) + 1):
+        for wired in itertools.combinations(needy, r):
+            left = [v for v in needy if v not in wired]
+            for ends in itertools.product(targets, repeat=r):
+                pairs = list(zip(wired, ends))
+                for blocks in _set_partitions(left):
+                    leaves = [(v, n + b) for b, block in enumerate(blocks) for v in block]
+                    grown = Graph.from_edges(n + len(blocks), base + pairs + leaves)
+                    for cg, tail in _supply(grown, [*colors, *[color] * len(blocks)], rest):
+                        yield cg, ((color, pairs, blocks),) + tail
+
+
+# ---------------------------------------------------------------------------
 # Phase I
 
 
-def _club_holds(g: Graph, colors: tuple[int, ...], t: int) -> bool:
-    """Each star leaf u_p (id p-1, p <= t-1) must see every color p+1..t."""
-    nbc = neighbor_colors(g, colors)
-    return all(not (~nbc[p - 1] & ((2 << t) - (2 << p))) for p in range(1, t))  # bits p+1..t
-
-
-def _phase1_with_prov(t: int) -> list[tuple[ColoredGraph, str]]:
-    base_colors = list(range(1, t + 1)) + [t + 1]
-    base_edges = [(i, t) for i in range(t)]
-    star_edges = {(min(u, v), max(u, v)) for u, v in base_edges}
-
-    per_j_options = []
-    for j in range(2, t + 1):
-        domain = list(range(1, j))
-        opts = []
-        for r in range(len(domain) + 1):
-            for to_uj in itertools.combinations(domain, r):
-                rest = [p for p in domain if p not in to_uj]
-                for blocks in _set_partitions(rest):
-                    opts.append((j, list(to_uj), blocks))
-        per_j_options.append(opts)
-
-    out = []
-    for combo in itertools.product(*per_j_options):
-        colors = base_colors[:]
-        edges = base_edges[:]
-        prov_bits = []
-        for j, to_uj, blocks in combo:
-            edges.extend((p - 1, j - 1) for p in to_uj)
-            for block in blocks:
-                w = len(colors)
-                colors.append(j)
-                edges.extend((p - 1, w) for p in block)
-            prov_bits.append(f"f{j}:u<-{to_uj} w<-{blocks}")
-        g = Graph.from_edges(len(colors), edges)
-        colors_t = tuple(colors)
-        if not _club_holds(g, colors_t, t):
-            continue
-        # edge-minimality for the leaf requirements: every non-star edge must
-        # be some leaf's only neighbor of its color
-        minimal = True
-        for u, v in g.edges():
-            if (u, v) in star_edges:
-                continue
-            if _club_holds(g.drop_edge(u, v), colors_t, t):
-                minimal = False
-                break
-        if not minimal:
-            continue
-        out.append((ColoredGraph(g, Coloring(colors_t)), "; ".join(prov_bits)))
-    return _dedup(out)
+def _phase1_with_prov(t: int):
+    """Raw Phase I candidates with provenance, before dedup.  The star has
+    leaf u_p = vertex p-1 of color p and center t of color t+1; each leaf
+    u_p, p < j, gets its color-j neighbor from u_j or a fresh leaf."""
+    star = Graph.from_edges(t + 1, [(i, t) for i in range(t)])
+    needs = [(j, list(range(j - 1)), [j - 1]) for j in range(2, t + 1)]
+    for cg, choice in _supply(star, range(1, t + 2), needs):
+        yield cg, "; ".join(
+            f"f{j}:u<-{[v + 1 for v, _ in wired]} w<-{[[v + 1 for v in b] for b in blocks]}"
+            for j, wired, blocks in choice
+        )
 
 
 def phase1_generate(t: int, max_t: int = 4) -> list[ColoredGraph]:
     """All edge-minimal colored graphs extending the star on colors 1..t+1 so
     that each leaf u_p has neighbors of every color above p (condition on
     which the atom construction rests), deduplicated up to color-preserving
-    isomorphism."""
+    isomorphism.  Each leaf gets exactly one neighbor of each color above
+    its own, so every candidate is edge-minimal for that condition."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if t > max_t:
         raise ValueError(f"t={t} exceeds the configured maximum {max_t}")
-    return [cg for cg, _ in _phase1_with_prov(t)]
+    return [cg for cg, _ in _dedup(_phase1_with_prov(t))]
 
 
 # ---------------------------------------------------------------------------
 # Phase II: the grundify operation
 
 
-def _grundify_with_prov(cg: ColoredGraph, k: int) -> list[tuple[ColoredGraph, str]]:
+def _grundify_with_prov(cg: ColoredGraph, k: int):
+    """Raw grundify candidates of class k with provenance, lazily and before
+    dedup; the range check runs at the call."""
     g, c = cg.graph, cg.coloring
     if not 2 <= k < c.k:
         raise ValueError(f"grundify class {k} out of range 2..{c.k - 1}")
-    colors = list(c.colors)
     classes = c.classes()
-    class_k = classes[k - 1]
-    nbc = neighbor_colors(g, colors)
-    deficits = []
+    nbc = neighbor_colors(g, c.colors)
+    needs = []
     for i in range(1, k):
-        c_k_i = [v for v in class_k if not nbc[v] >> i & 1]
-        if c_k_i:
-            deficits.append((i, c_k_i))
-    if not deficits:
-        return [(cg, "")]
-
-    per_i_options = []
-    for i, c_k_i in deficits:
-        c_i = classes[i - 1]
-        opts = []
-        for r in range(len(c_k_i) + 1):
-            for s_set in itertools.combinations(c_k_i, r):
-                rest = [v for v in c_k_i if v not in s_set]
-                for f_targets in itertools.product(c_i, repeat=len(s_set)):
-                    for blocks in _set_partitions(rest):
-                        opts.append((i, list(zip(s_set, f_targets)), blocks))
-        per_i_options.append(opts)
-
-    out = []
-    for combo in itertools.product(*per_i_options):
-        new_colors = colors[:]
-        new_edges = g.edges()
-        prov_bits = []
-        for i, wired, blocks in combo:
-            new_edges.extend(wired)
-            for block in blocks:
-                w = len(new_colors)
-                new_colors.append(i)
-                new_edges.extend((v, w) for v in block)
-            prov_bits.append(f"i{i}:S{wired} w<-{blocks}")
-        new_g = Graph.from_edges(len(new_colors), new_edges)
-        out.append((ColoredGraph(new_g, Coloring(tuple(new_colors))), " ".join(prov_bits)))
-    return _dedup(out)
+        needy = [v for v in classes[k - 1] if not nbc[v] >> i & 1]
+        if needy:
+            needs.append((i, needy, classes[i - 1]))
+    return (
+        (out, " ".join(f"i{i}:S{wired} w<-{blocks}" for i, wired, blocks in choice))
+        for out, choice in _supply(g, c.colors, needs)
+    )
 
 
 def grundify(cg: ColoredGraph, k: int) -> list[ColoredGraph]:
@@ -191,10 +160,11 @@ def grundify(cg: ColoredGraph, k: int) -> list[ColoredGraph]:
 
     A vertex of class k missing color i either gets wired to an existing
     color-i vertex or to a fresh color-i leaf shared by a block of such
-    vertices; every combination over the missing colors is emitted.  If class
-    k is already Grundy the input comes back unchanged.
+    vertices; every combination over the missing colors is emitted, one per
+    color-preserving isomorphism class.  If class k is already Grundy the
+    input comes back unchanged.
     """
-    return [out for out, _ in _grundify_with_prov(cg, k)]
+    return [out for out, _ in _dedup(_grundify_with_prov(cg, k))]
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +185,11 @@ def generate_atoms(
     """Generate the atom catalog for z-number t.
 
     Pipeline: Phase I for t-1, then grundify classes t-1 down to 2 composing
-    over families with per-stage deduplication, then keep exactly the members
-    whose canonic coloring is a z-coloring with t colors and that are
-    edge-minimal with respect to z-number.  The triangle-free filter is
-    applied per stage since later stages only add edges.  The unfiltered t=4
-    catalog is large and gated behind allow_large.
+    over families, then keep exactly the members whose canonic coloring is a
+    z-coloring with t colors and that are edge-minimal with respect to
+    z-number.  Each stage's raw candidates pass the triangle-free filter
+    (sound per stage since later stages only add edges) and are deduplicated
+    once.  The unfiltered t=4 catalog is large and gated behind allow_large.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -228,17 +198,16 @@ def generate_atoms(
     if t >= 4 and not triangle_free and not allow_large:
         raise ValueError("unfiltered catalogs for t >= 4 are gated behind allow_large")
 
-    family = _phase1_with_prov(t - 1)
-    if triangle_free:
-        family = [(cg, p) for cg, p in family if not cg.graph.has_triangle()]
+    def stage(pairs):
+        return _dedup((cg, p) for cg, p in pairs if not (triangle_free and cg.graph.has_triangle()))
+
+    family = stage(_phase1_with_prov(t - 1))
     for k in range(t - 1, 1, -1):
-        grown = []
-        for cg, prov in family:
-            for out, extra in _grundify_with_prov(cg, k):
-                grown.append((out, prov if not extra else f"{prov} | G{k} {extra}"))
-        if triangle_free:
-            grown = [(cg, p) for cg, p in grown if not cg.graph.has_triangle()]
-        family = _dedup(grown)
+        family = stage(
+            (out, f"{prov} | G{k} {extra}" if extra else prov)
+            for cg, prov in family
+            for out, extra in _grundify_with_prov(cg, k)
+        )
 
     star = tuple(range(t))
     atoms = []
@@ -301,7 +270,9 @@ def _embed(atom: ColoredGraph, target: Graph, adj: list[int], deg_ok: list[int])
     targets of sufficient degree, adjacent to the image of every placed
     neighbor and non-adjacent to the image of every placed same-colored
     vertex.  Its bits are tried in ascending order, so the first embedding
-    found is the lexicographically first in that vertex order.
+    found is the lexicographically first in that vertex order.  The search
+    keeps each entered level's untried candidates in a list instead of
+    recursing, so a call leaves no reference cycle behind.
     """
     h, c = atom.graph, atom.coloring
     nh, nt = h.n, target.n
@@ -332,26 +303,30 @@ def _embed(atom: ColoredGraph, target: Graph, adj: list[int], deg_ok: list[int])
         for v in order
     ]
     mapping = [-1] * nh
-
-    def dfs(i: int, free: int) -> bool:
-        if i == nh:
-            return True
+    untried = [0] * nh
+    free = (1 << nt) - 1
+    i = 0
+    while True:
         v, pool, nbrs, same = levels[i]
         pool &= free
         for w in nbrs:
             pool &= adj[mapping[w]]
         for w in same:
             pool &= ~adj[mapping[w]]
-        while pool:
-            low = pool & -pool
-            mapping[v] = low.bit_length() - 1
-            if dfs(i + 1, free ^ low):
-                return True
-            pool ^= low
-        return False
-
-    if not dfs(0, (1 << nt) - 1):
-        return None
+        while not pool:  # backtrack to the deepest level with a candidate left
+            i -= 1
+            if i < 0:
+                return None
+            v = levels[i][0]
+            free |= 1 << mapping[v]
+            pool = untried[i]
+        low = pool & -pool
+        untried[i] = pool ^ low
+        mapping[v] = low.bit_length() - 1
+        if i + 1 == nh:
+            break
+        free ^= low
+        i += 1
     if not embedding_valid(atom, target, mapping):
         raise AssertionError("embedding search returned an invalid map")
     return Embedding(tuple(mapping))

@@ -304,14 +304,15 @@ def parse_coloring_record(text: str) -> ColoredGraph:
     for item in edges_text.split():
         u, _, v = item.partition("-")
         edges.append(tuple(_record_ints((u, v), "edges", edges_line)))
+    colors_line, colors_text = fields["colors"]
+    colors = tuple(_record_ints(colors_text.split(), "colors", colors_line))
+    # checked before the graph is built, so n is bounded by the text's size
+    if len(colors) != n:
+        raise RecordError(f"line {colors_line}: colors length does not match n")
     try:
         g = Graph.from_edges(n, edges)
     except ValueError as exc:
         raise RecordError(f"line {edges_line}: {exc}") from None
-    colors_line, colors_text = fields["colors"]
-    colors = tuple(_record_ints(colors_text.split(), "colors", colors_line))
-    if len(colors) != n:
-        raise RecordError(f"line {colors_line}: colors length does not match n")
     try:
         c = Coloring(colors)
     except ValueError as exc:

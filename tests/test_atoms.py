@@ -24,6 +24,7 @@ from zcoloring import (
     prove_upper_bound,
 )
 from zcoloring.atoms import embedding_valid
+from zcoloring.graphs import serialize_colored_graph
 from zcoloring.randgraphs import gnp, random_connected_gnp
 
 
@@ -50,17 +51,20 @@ def test_phase1_t2_triangle_and_path():
     assert any(is_colored_isomorphic(cg, four_path) for cg in out)
 
 
-def test_phase1_outputs_satisfy_leaf_requirements():
-    from zcoloring.atoms import _club_holds
+def _leaf_requirements_hold(g, colors, t):
+    # each star leaf u_p (vertex p-1, p <= t-1) sees every color p+1..t
+    return all({colors[w] for w in g.adj[p - 1]} >= set(range(p + 1, t + 1)) for p in range(1, t))
 
-    for t in (2, 3):
+
+def test_phase1_outputs_satisfy_leaf_requirements():
+    for t in (2, 3, 4):
         for cg in phase1_generate(t):
-            assert _club_holds(cg.graph, cg.coloring.colors, t)
+            assert _leaf_requirements_hold(cg.graph, cg.coloring.colors, t)
             star_edges = {(min(i, t), max(i, t)) for i in range(t)}
             for u, v in cg.graph.edges():
                 if (u, v) in star_edges:
                     continue
-                assert not _club_holds(cg.graph.drop_edge(u, v), cg.coloring.colors, t)
+                assert not _leaf_requirements_hold(cg.graph.drop_edge(u, v), cg.coloring.colors, t)
 
 
 def test_phase1_size_guard():
@@ -94,6 +98,62 @@ def test_grundify_makes_class_k_grundy():
                         continue
                     nbr_colors = {colors[w] for w in out.graph.adj[v]}
                     assert nbr_colors >= set(range(1, k))
+
+
+def test_raw_candidates_golden():
+    # pins every raw candidate (record and provenance) in enumeration order,
+    # before dedup: Phase I for t = 0..4 and each grundify stage of t = 3,
+    # triangle-free t = 4 and unfiltered t = 4; the digest was taken while
+    # Phase I and grundify still built their option lists separately
+    from zcoloring.atoms import _dedup, _grundify_with_prov, _phase1_with_prov
+
+    digest = hashlib.sha256()
+
+    def feed(pairs):
+        for cg, prov in pairs:
+            digest.update((serialize_colored_graph(cg) + f"provenance {prov}\n").encode())
+
+    for t in range(5):
+        feed(_phase1_with_prov(t))
+    for t, triangle_free in ((3, False), (4, True), (4, False)):
+        family = _dedup(_phase1_with_prov(t - 1))
+        for k in range(t - 1, 1, -1):
+            if triangle_free:
+                family = [(cg, p) for cg, p in family if not cg.graph.has_triangle()]
+            grown = [
+                (out, f"{prov} | G{k} {extra}" if extra else prov)
+                for cg, prov in family
+                for out, extra in _grundify_with_prov(cg, k)
+            ]
+            feed(grown)
+            family = _dedup(grown)
+    assert digest.hexdigest() == "fbd74bc8152e974d3619cabdd61a146ef94c93fe40a5175fbefc7d7e7e830d93"
+
+
+def test_grundify_enumerates_lazily():
+    # class 2 has 12 vertices missing color 1 and there are 5 color-1
+    # targets: about 1.76e10 options, so the first candidate must come
+    # without materializing them
+    import time
+    import tracemalloc
+
+    from zcoloring.atoms import _grundify_with_prov
+
+    colors = (1,) * 5 + (2,) * 12 + (3,)
+    g = Graph.from_edges(len(colors), [(v, 17) for v in range(17)])
+    cg = ColoredGraph(g, Coloring(colors))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        out, prov = next(_grundify_with_prov(cg, 2))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+    assert out.graph.n == 19 and out.coloring.colors[18] == 1
+    assert prov == f"i1:S[] w<-{[list(range(5, 17))]}"
 
 
 def test_grundify_range_check():
@@ -201,6 +261,20 @@ def test_embed_outputs_golden(d3_catalog, d4_triangle_free_catalog):
     assert digest.hexdigest() == "13bda5b2022a003f3fc170f798f042b702dfe8bd5d5d1949cd8ea4fe584faa13"
 
 
+def test_embed_leaves_no_reference_cycles(d4_triangle_free_catalog):
+    import gc
+
+    host = gen_Tk(6).graph
+    gc.collect()
+    gc.disable()
+    try:
+        found = [embed(a.cg, host) for a in d4_triangle_free_catalog.atoms]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert any(emb is None for emb in found) and any(emb is not None for emb in found)
+
+
 def test_prove_upper_bound_star_graph(d3_catalog):
     k15 = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
     verdict = prove_upper_bound(k15, 3, d3_catalog)
@@ -282,6 +356,8 @@ def test_checked_in_catalogs_regenerate_byte_identically(d3_catalog, d4_triangle
     root = pathlib.Path(__file__).parent.parent / "catalogs"
     assert catalog_to_text(d3_catalog) == (root / "d3.catalog").read_text()
     assert catalog_to_text(d4_triangle_free_catalog) == (root / "d4_trianglefree.catalog").read_text()
+    full = generate_atoms(4, allow_large=True)
+    assert catalog_to_text(full) == (root / "d4_full.catalog").read_text()
 
 
 def test_checked_in_full_t4_catalog_parses():

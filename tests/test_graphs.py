@@ -177,3 +177,21 @@ def test_record_star_index_out_of_range():
 def test_record_non_integer_names_field_and_line(record, field, line):
     with pytest.raises(RecordError, match=f"line {line}: .*'{field}'"):
         parse_coloring_record(record)
+
+
+def test_record_checks_colors_length_before_building(monkeypatch):
+    real = Graph.from_edges.__func__
+    built = []
+
+    def spy(cls, n, edges):
+        # fail instead of allocating, so the unguarded path cannot exhaust memory
+        assert n <= 20, f"from_edges asked for {n} vertices"
+        built.append(n)
+        return real(cls, n, edges)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(spy))
+    with pytest.raises(RecordError, match="line 3: colors length does not match n"):
+        parse_coloring_record("n 400000\nk 1\ncolors 1\n")
+    assert built == []
+    assert parse_coloring_record("n 2\nedges 0-1\nk 2\ncolors 1 2\n").graph.m == 1
+    assert built == [2]
