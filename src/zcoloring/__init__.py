@@ -47,6 +47,7 @@ from .oracle import (
     exact_z,
     find_z_coloring,
     m_degree_bound,
+    star_degree_bound,
     z_reaches,
 )
 from .reduce import (

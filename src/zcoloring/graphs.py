@@ -69,9 +69,13 @@ class Graph:
         return [sum(1 << w for w in nbrs) for nbrs in self.adj]
 
     def drop_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
+        """The graph without edge uv; only the two endpoints' lists change."""
+        if not (0 <= u < self.n and self.has_edge(u, v)):
             raise ValueError(f"no edge ({u},{v})")
-        return Graph.from_edges(self.n, [e for e in self.edges() if e != (min(u, v), max(u, v))])
+        adj = list(self.adj)
+        adj[u] = tuple(w for w in adj[u] if w != v)
+        adj[v] = tuple(w for w in adj[v] if w != u)
+        return Graph(self.n, tuple(adj))
 
     def with_vertex(self, neighbors) -> "Graph":
         """Return the graph extended by one new vertex (index n) adjacent to `neighbors`."""

@@ -5,14 +5,17 @@ tests; inputs are size-limited so typical calls stay well under a second
 (dense balanced-bipartite hosts near the limit are the slow extreme, since
 refuting high targets there defeats the local pruning).
 
-The b and z oracles probe target counts downward from max_degree+1 (capped
-by the degree bound) and stop at the first target that admits a coloring.
-Every z-coloring is a b-coloring (the star vertex of each class sees all the
-others), so a z probe runs the b search first and returns None when it
-fails; the b search, whose colors are interchangeable, refutes a target far
-faster than the ordered z search.  Only when a b-coloring with k colors
-exists does the z search run, so values and witnesses are those of the z
-search alone, and z's `explored` includes the nodes of the b probes.
+The b and z oracles probe target counts downward and stop at the first
+target that admits a coloring.  The b oracle starts at max_degree+1 capped by
+the m-degree bound; the z oracle starts at the star degree bound
+(`star_degree_bound`), which never exceeds either, since the dominating star
+u_1..u_k of a z-coloring is a vertex of degree >= k-1 with k-1 neighbours of
+degree >= k-1.  Every z-coloring is a b-coloring (the star vertex of each
+class sees all the others), so a z probe runs the b search first and returns
+None when it fails; the b search, whose colors are interchangeable, refutes a
+target far faster than the ordered z search.  Only when a b-coloring with k
+colors exists does the z search run, so values and witnesses are those of the
+z search alone, and z's `explored` includes the nodes of the b probes.
 The gamma oracle takes its value from a memoized recursion over maximal
 independent sets (`_grundy_number`) and makes one probe, at that value, for
 the witness; its `explored` counts the subsets the recursion solved plus the
@@ -25,9 +28,12 @@ color-dominating vertex (one that sees the k-1 other colors) in every class,
 and a Grundy k-coloring has one in class k.  The engine cuts a branch as soon
 as some such class can no longer get one: no vertex of that color, and no
 uncolored vertex that may still take it, sees enough colors plus uncolored
-neighbors to reach k-1.  The cut subtrees hold no solution, so values and
-witnesses are those of the unpruned search; only `OracleResult.explored`
-(the node count `zcolor exact --format table` prints) reads lower.
+neighbors to reach k-1.  The z search also cuts a branch once its dominating
+star can no longer form: no vertex that may still become color-dominating and
+take color k has such neighbours that may still take, between them, every
+color of 1..k-1.  The cut subtrees hold no solution, so values and witnesses
+are those of the unpruned search; only `OracleResult.explored` (the node
+count `zcolor exact --format table` prints) reads lower.
 """
 
 from __future__ import annotations
@@ -67,8 +73,46 @@ def check_limit(n: int, limit_n: int, what: str) -> None:
         raise SizeLimitError(f"{what}: graph has {n} vertices, limit is {limit_n}")
 
 
+def star_degree_bound(g: Graph) -> int:
+    """Largest k such that some vertex of degree >= k-1 has k-1 neighbours of
+    degree >= k-1; an upper bound for the z-number, since the star u_1..u_k of
+    a z-coloring with k colors is such a vertex u_k with its neighbours.  It
+    never exceeds m_degree_bound (the star is k vertices of degree >= k-1)
+    nor max_degree + 1."""
+    deg = [len(nbrs) for nbrs in g.adj]
+    best = 1 if g.n else 0
+    for v, nbrs in enumerate(g.adj):
+        if deg[v] < best:
+            continue  # v's star has at most deg[v] + 1 vertices
+        degs = sorted([deg[w] for w in nbrs], reverse=True)
+        j = 0
+        while j < len(degs) and degs[j] > j:
+            j += 1
+        best = max(best, j + 1)
+    return best
+
+
+def _star_open(k: int, color, nbc, un, nbrs) -> bool:
+    """The star test of `_search` in z mode, on its partial coloring: True
+    while a dominating star may still form."""
+    kbit = 1 << k
+    below = kbit - 2
+    # hold[u]: the colors u may still hold if it may still become
+    # color-dominating, else 0 (bits above k never matter below)
+    hold = [(1 << c if c else ~seen) if seen.bit_count() + free >= k - 1 else 0
+            for c, seen, free in zip(color, nbc, un)]
+    for u, h in enumerate(hold):
+        if h & kbit:
+            reach = 0
+            for w in nbrs[u]:
+                reach |= hold[w]
+            if reach & below == below:
+                return True
+    return False
+
+
 def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, required: int, leaf,
-            explored_box):
+            explored_box, star: bool = False):
     """Find a proper coloring with colors in 1..k accepted by `leaf`, or None.
 
     `leaf(color, class_mask, nbc)` sees the complete assignment; `nbc[v]` is
@@ -82,6 +126,13 @@ def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, requir
     such a vertex covers its own color, or if uncolored every color it does
     not see.  A node where some required color is left uncovered is cut: that
     sum never grows deeper in the branch, so no leaf below it is accepted.
+
+    With `star` (z mode) the node is also cut unless a dominating star can
+    still form: some such vertex that may still hold color k has such
+    neighbours that may still hold, between them, every color of 1..k-1.  A
+    vertex may hold its own color if colored, otherwise every color none of
+    its neighbours has; those sets, like the vertices themselves, only shrink
+    deeper in the branch.
     """
     n = g.n
     if n == 0:
@@ -119,7 +170,7 @@ def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, requir
             if key > best_key:
                 best_key = key
                 v = u
-        if required & ~cover:
+        if required & ~cover or star and not _star_open(k, color, nbc, un, nbrs):
             return None
         av = adjm[v]
         vbit = 1 << v
@@ -197,7 +248,7 @@ def _find_z(g: Graph, k: int, explored_box):
 
     # the star u_1..u_k holds a color-dominating vertex of every class
     return _search(g, k, grundy_prune=True, symmetric_colors=False, required=(1 << (k + 1)) - 2,
-                   leaf=leaf, explored_box=explored_box)
+                   leaf=leaf, explored_box=explored_box, star=True)
 
 
 def _maximal_independent_sets(closed: list[int], s: int):
@@ -362,9 +413,10 @@ def exact_b(g: Graph, limit_n: int = 12) -> OracleResult:
 
 
 def exact_z(g: Graph, limit_n: int = 14) -> OracleResult:
-    """Maximum colors of any z-coloring; 1 for edgeless graphs."""
+    """Maximum colors of any z-coloring; 1 for edgeless graphs.  Targets are
+    probed downward from `star_degree_bound(g)`."""
     check_limit(g.n, limit_n, "exact_z")
-    return _maximize(g, min(g.max_degree() + 1, m_degree_bound(g)), _find_z)
+    return _maximize(g, star_degree_bound(g), _find_z)
 
 
 def find_z_coloring(g: Graph, k: int) -> Coloring | None:
@@ -383,16 +435,17 @@ def find_z_coloring(g: Graph, k: int) -> Coloring | None:
 def z_reaches(g: Graph, t: int) -> bool:
     """Exact decision whether z(g) >= t.
 
-    Every target count from t up to the degree bounds is searched, since
-    z-colorings do not interpolate (K_n admits only the n-coloring).  Each
-    target is first probed by the b search, and one with no b-coloring is
-    refuted there.
+    Every target count from t up to `star_degree_bound(g)` is searched,
+    since z-colorings do not interpolate (K_n admits only the n-coloring).
+    Each target is first probed by the b search, and one with no b-coloring
+    is refuted there; the z search then cuts every branch where the
+    dominating star can no longer form.
     """
     if t <= 1:
         return g.n >= t
     if g.n == 0:
         return False
-    top = min(g.max_degree() + 1, m_degree_bound(g))
+    top = star_degree_bound(g)
     explored = [0]
     for k in range(t, top + 1):
         if _find_z(g, k, explored) is not None:

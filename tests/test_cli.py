@@ -271,18 +271,18 @@ def test_exact_deep_search_exits_2(tmp_path, capsys):
     assert " = 3 " in capsys.readouterr().out
 
 
-def test_exact_never_raises_on_fuzzed_files(tmp_path, capsys):
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    path = tmp_path / "fuzz.col"
+def mutated(st, texts):
+    """Hypothesis strategy: a text drawn from `texts`, encoded, with a few
+    bytes inserted, replaced or deleted; the new bytes are often digits,
+    blanks or newlines, so many mutants still parse."""
+    bytes_ = st.one_of(st.sampled_from(b"0123456789 -\n"), st.integers(0, 255))
 
     @st.composite
-    def mutated_dimacs(draw):
-        # a valid file with a few bytes inserted, replaced or deleted
-        data = bytearray(to_dimacs(draw(small_graphs(st, 8))).encode())
+    def strategy(draw):
+        data = bytearray(draw(texts).encode())
         for _ in range(draw(st.integers(1, 3))):
             at = draw(st.integers(0, len(data)))
-            byte = draw(st.integers(0, 255))
+            byte = draw(bytes_)
             op = draw(st.sampled_from(("insert", "replace", "delete")))
             if op == "insert":
                 data.insert(at, byte)
@@ -293,6 +293,14 @@ def test_exact_never_raises_on_fuzzed_files(tmp_path, capsys):
                     del data[at]
         return bytes(data)
 
+    return strategy()
+
+
+def test_exact_never_raises_on_fuzzed_files(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "fuzz.col"
+
     def run(argv):
         code = main(argv)
         out = capsys.readouterr().out
@@ -300,7 +308,7 @@ def test_exact_never_raises_on_fuzzed_files(tmp_path, capsys):
         return code, out
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
-    @hypothesis.given(st.one_of(st.binary(max_size=120), mutated_dimacs()))
+    @hypothesis.given(st.one_of(st.binary(max_size=120), mutated(st, small_graphs(st, 8).map(to_dimacs))))
     def check_bytes(data):
         path.write_bytes(data)
         for param in ORACLES:
@@ -556,5 +564,37 @@ def test_main_never_raises_on_random_argv(cli_files, tmp_path, monkeypatch, caps
     def check(argv):
         code, _ = _run(argv, capsys)
         assert code in (0, 1, 2), argv
+
+    check()
+
+
+def test_color_verify_bound_never_raise_on_fuzzed_files(cli_files, tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    f = cli_files
+    path = tmp_path / "fuzz.col"
+    # verify needs a record of the graph it is given, so P_5 (the graph of
+    # f["record"]) and its colorings, proper or not, are drawn often
+    p5 = path_graph(5)
+    graphs = st.one_of(st.just(p5), small_graphs(st, 8))
+    records = st.one_of(
+        st.lists(st.integers(1, 4), min_size=5, max_size=5).map(lambda cs: serialize_coloring(p5, Coloring(cs))),
+        graphs.map(lambda g: serialize_coloring(g, greedy_coloring(g))),
+    )
+    texts = st.one_of(graphs.map(to_dimacs), records)
+    inputs = st.one_of(texts.map(str.encode), mutated(st, texts), st.binary(max_size=120))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(inputs)
+    def check(data):
+        path.write_bytes(data)
+        for argv in (["color", str(path)],
+                     ["color", str(path), "--heuristic", "iz", "--rounds", "2", "--budget", "3"],
+                     ["verify", str(path), f["record"], "--level", "z"],
+                     ["verify", f["graph"], str(path), "--level", "z"],
+                     ["atoms", "bound", str(path), "--t", "3", "--catalog", f["catalog"]]):
+            code = main(argv)
+            capsys.readouterr()
+            assert code in (0, 1, 2), (argv, data)
 
     check()

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import small_graphs
+
 from zcoloring import (
     ColoredGraph,
     Coloring,
@@ -107,6 +109,36 @@ def test_graph_helpers():
     assert Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]).has_triangle()
     assert not Graph.from_edges(2, []).is_connected()
     assert g.induced([0, 1, 2]).m == 2
+
+
+def test_drop_edge_matches_rebuild():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graph_and_edge(draw):
+        g = draw(small_graphs(st, 10).filter(lambda g: g.m))
+        return g, draw(st.sampled_from(g.edges())), draw(st.booleans())
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(graph_and_edge())
+    def check(case):
+        g, (u, v), flip = case
+        if flip:
+            u, v = v, u
+        rebuilt = Graph.from_edges(g.n, [e for e in g.edges() if e != (min(u, v), max(u, v))])
+        assert g.drop_edge(u, v) == rebuilt
+        with pytest.raises(ValueError):
+            rebuilt.drop_edge(u, v)
+
+    check()
+
+
+def test_drop_edge_rejects_missing_and_out_of_range():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    for u, v in [(0, 2), (1, 1), (-1, 2), (3, -2), (4, 0), (0, 4)]:
+        with pytest.raises(ValueError, match="no edge"):
+            g.drop_edge(u, v)
 
 
 def test_coloring_basics():

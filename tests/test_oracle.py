@@ -28,6 +28,7 @@ from zcoloring import (
     gen_Ktt_minus_matching,
     gen_Tk,
     m_degree_bound,
+    star_degree_bound,
     z_reaches,
 )
 from zcoloring.randgraphs import gnp
@@ -190,6 +191,39 @@ def test_m_degree_bound():
     assert m_degree_bound(Graph.from_edges(3, [])) == 1
 
 
+def test_star_degree_bound():
+    assert star_degree_bound(complete_graph(4)) == 4
+    # a star K_{1,4}: the centre's neighbours are leaves, so no 3-vertex star
+    assert star_degree_bound(Graph.from_edges(5, [(0, i) for i in range(1, 5)])) == 2
+    assert star_degree_bound(Graph.from_edges(3, [])) == 1
+    assert star_degree_bound(Graph.from_edges(0, [])) == 0
+    # three disjoint P_3: three vertices of degree 2, but none has a
+    # neighbour of degree 2
+    three_paths = Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
+    assert m_degree_bound(three_paths) == 3 and star_degree_bound(three_paths) == 2
+    assert star_degree_bound(path_graph(5)) == 3
+
+
+def test_star_degree_bound_caps_z():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def check_one(g):
+        bound = star_degree_bound(g)
+        assert exact_z(g).value <= bound <= min(m_degree_bound(g), g.max_degree() + 1), g.edges()
+
+    for g in (path_graph(5), cycle_graph(6), gen_Ktt_minus_matching(4), gen_Ktt_minus_matching(5, 4),
+              gen_Ht(3), gen_Ft(4)):
+        check_one(g)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(small_graphs(st, 8))
+    def check(g):
+        check_one(g)
+
+    check()
+
+
 def test_oracle_outputs_golden():
     # pins value and witness of the maximization oracles, z_reaches and
     # find_z_coloring; the digest was taken before the search learned to cut
@@ -346,5 +380,21 @@ def test_z_pinned_on_dense_hosts(n, p, digest, parent_nodes, most):
     # (`parent_nodes` nodes) before targets were refuted through the b search
     res = exact_z(gnp(n, p, random.Random(1)))
     assert res.value == 6
+    assert hashlib.sha256(repr(res.witness.colors).encode()).hexdigest() == digest
+    assert res.explored < most < parent_nodes
+
+
+@pytest.mark.parametrize("n, p, seed, digest, parent_nodes, most", [
+    (11, 0.4, 1, "e75a0b409fbe5e2ffc519d3c16047b29b56fb7c422a4cf89016bba9ef6417e0f", 2_743, 1_000),
+    (10, 0.5, 2, "636da1326b5d995860d81f0d8fc12088c350baf7ff7f47787c2167ead8f515fb", 1_304, 500),
+], ids=["gnp11_0.4", "gnp10_0.5"])
+def test_z_pinned_where_star_cut_fires(n, p, seed, digest, parent_nodes, most):
+    # value and witness as found (`parent_nodes` nodes) before the z search
+    # cut branches where no dominating star can form any more; the degree
+    # bounds agree on 5 here, so only the dynamic cut lowers the count
+    g = gnp(n, p, random.Random(seed))
+    assert star_degree_bound(g) == m_degree_bound(g) == 5
+    res = exact_z(g)
+    assert res.value == 5
     assert hashlib.sha256(repr(res.witness.colors).encode()).hexdigest() == digest
     assert res.explored < most < parent_nodes
