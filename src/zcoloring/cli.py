@@ -135,7 +135,9 @@ def cmd_verify(args) -> int:
 
 def cmd_exact(args) -> int:
     oracle = ORACLES[args.param]
-    limit = args.limit or inspect.signature(oracle).parameters["limit_n"].default
+    limit = args.limit
+    if limit is None:
+        limit = inspect.signature(oracle).parameters["limit_n"].default
     try:
         # the problem line's vertex count meets the limit before the graph is built
         g = _load_graph(args.input, lambda n: check_limit(n, limit, f"exact_{args.param}"))

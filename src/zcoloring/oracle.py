@@ -6,22 +6,24 @@ tests; inputs are size-limited so typical calls stay well under a second
 refuting high targets there defeats the local pruning).
 
 The b and z oracles probe target counts downward and stop at the first
-target that admits a coloring.  The b oracle starts at max_degree+1 capped by
-the m-degree bound; the z oracle starts at the star degree bound
-(`star_degree_bound`), which never exceeds either, since the dominating star
-u_1..u_k of a z-coloring is a vertex of degree >= k-1 with k-1 neighbours of
-degree >= k-1.  Every z-coloring is a b-coloring (the star vertex of each
-class sees all the others), so a z probe runs the b search first and returns
-None when it fails; the b search, whose colors are interchangeable, refutes a
-target far faster than the ordered z search.  Only when a b-coloring with k
-colors exists does the z search run, so values and witnesses are those of the
-z search alone, and z's `explored` includes the nodes of the b probes.
+target that admits a coloring.  The b oracle starts at the m-degree bound
+(`m_degree_bound`), which never exceeds max_degree+1; the z oracle starts at
+the star degree bound (`star_degree_bound`), which never exceeds either,
+since the dominating star u_1..u_k of a z-coloring is a vertex of degree
+>= k-1 with k-1 neighbours of degree >= k-1.  Every z-coloring is a
+b-coloring (the star vertex of each class sees all the others), so a z probe
+runs the b search first and returns None when it fails; the b search, whose
+colors are interchangeable, refutes a target far faster than the ordered z
+search.  Only when a b-coloring with k colors exists does the z search run,
+so values and witnesses are those of the z search alone, and z's `explored`
+includes the nodes of the b probes.
 The gamma oracle takes its value from a memoized recursion over maximal
 independent sets (`_grundy_number`) and makes one probe, at that value, for
 the witness; its `explored` counts the subsets the recursion solved plus the
-nodes of that probe.  The backtracking engine assigns vertices in descending
-degree order with properness pruning; Grundy-style targets additionally prune
-any vertex whose missing lower colors exceed its unassigned neighbors.
+nodes of that probe.  The backtracking engine assigns vertices
+most-saturated-first with properness pruning; Grundy-style targets
+additionally prune any vertex whose missing lower colors exceed its
+unassigned neighbors.
 
 Class-witness pruning: a b- or z-coloring with k colors has a
 color-dominating vertex (one that sees the k-1 other colors) in every class,
@@ -33,7 +35,9 @@ star can no longer form: no vertex that may still become color-dominating and
 take color k has such neighbours that may still take, between them, every
 color of 1..k-1.  The cut subtrees hold no solution, so values and witnesses
 are those of the unpruned search; only `OracleResult.explored` (the node
-count `zcolor exact --format table` prints) reads lower.
+count `zcolor exact --format table` prints) reads lower.  The same tests
+accept a complete assignment, so the oracles share no code with `verify`,
+whose checks stay an independent test of their witnesses.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from dataclasses import dataclass
 
 from .graphs import Coloring, Graph
 from .reduce import greedy_coloring
-from .verify import cd_flags, cd_witnesses, star_from
 
 
 class SizeLimitError(ValueError):
@@ -111,21 +114,22 @@ def _star_open(k: int, color, nbc, un, nbrs) -> bool:
     return False
 
 
-def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, required: int, leaf,
-            explored_box, star: bool = False):
-    """Find a proper coloring with colors in 1..k accepted by `leaf`, or None.
+def _search(g: Graph, k: int, grundy_prune: bool, required: int, explored_box, star: bool = False):
+    """Find a proper coloring with colors in 1..k that passes the cuts below
+    at its complete assignment, or None.
 
-    `leaf(color, class_mask, nbc)` sees the complete assignment; `nbc[v]` is
-    the bitmask of colors present in v's neighborhood (bit c = color c).
-    Vertices are picked most-saturated-first (DSATUR style, degree then index
-    as deterministic tie-breaks) so contradictions surface early.
+    `nbc[v]` is the bitmask of colors present in v's neighborhood (bit c =
+    color c).  Vertices are picked most-saturated-first (DSATUR style, degree
+    then index as deterministic tie-breaks) so contradictions surface early.
+    Without `grundy_prune` the colors are interchangeable, so a vertex takes
+    at most one color not used yet.
 
     `required` is the bitmask of the colors whose class must contain a
-    color-dominating vertex for `leaf` to accept.  A vertex can still become
-    one only if the colors it sees plus its uncolored neighbors reach k-1;
-    such a vertex covers its own color, or if uncolored every color it does
-    not see.  A node where some required color is left uncovered is cut: that
-    sum never grows deeper in the branch, so no leaf below it is accepted.
+    color-dominating vertex.  A vertex can still become one only if the
+    colors it sees plus its uncolored neighbors reach k-1; such a vertex
+    covers its own color, or if uncolored every color it does not see.  A
+    node where some required color is left uncovered is cut: that sum never
+    grows deeper in the branch.
 
     With `star` (z mode) the node is also cut unless a dominating star can
     still form: some such vertex that may still hold color k has such
@@ -133,10 +137,14 @@ def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, requir
     vertex may hold its own color if colored, otherwise every color none of
     its neighbours has; those sets, like the vertices themselves, only shrink
     deeper in the branch.
+
+    The same cuts decide a complete assignment.  There no vertex has an
+    uncolored neighbour and none sees its own color, so "sees k-1 colors"
+    means color-dominating: the cover test asks for a color-dominating vertex
+    in every required class, and the star test for the dominating star.
+    With `grundy_prune` every vertex is saturated, so the coloring is Grundy.
     """
     n = g.n
-    if n == 0:
-        return leaf([], [0] * (k + 1), [])
     adjm = g.adjacency_masks()
     nbrs = [list(a) for a in g.adj]
     deg = [len(g.adj[v]) for v in range(n)]
@@ -153,8 +161,6 @@ def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, requir
 
     def dfs(idx: int, max_used: int):
         explored_box[0] += 1
-        if idx == n:
-            return leaf(color, class_mask, nbc)
         v = -1
         best_key = (-1, -1, 1)
         cover = 0
@@ -172,9 +178,11 @@ def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, requir
                 v = u
         if required & ~cover or star and not _star_open(k, color, nbc, un, nbrs):
             return None
+        if idx == n:
+            return color[:]
         av = adjm[v]
         vbit = 1 << v
-        top = min(k, max_used + 1) if symmetric_colors else k
+        top = k if grundy_prune else min(k, max_used + 1)
         for c in range(1, top + 1):
             if av & class_mask[c]:
                 continue
@@ -218,37 +226,21 @@ def _search(g: Graph, k: int, grundy_prune: bool, symmetric_colors: bool, requir
 
 
 def _find_grundy(g: Graph, k: int, explored_box):
-    def leaf(color, class_mask, nbc):
-        # feasibility pruning leaves every vertex saturated, so the assignment
-        # is Grundy by construction; only the top color needs checking
-        return color[:] if class_mask[k] else None
-
     # a vertex of color k sees all of 1..k-1, so it is color-dominating
-    return _search(g, k, grundy_prune=True, symmetric_colors=False, required=1 << k,
-                   leaf=leaf, explored_box=explored_box)
+    return _search(g, k, grundy_prune=True, required=1 << k, explored_box=explored_box)
 
 
 def _find_b(g: Graph, k: int, explored_box):
-    def leaf(color, class_mask, nbc):
-        cd = cd_flags(color, nbc, k)
-        return color[:] if len(cd_witnesses(color, cd)) == k else None
-
-    return _search(g, k, grundy_prune=False, symmetric_colors=True, required=(1 << (k + 1)) - 2,
-                   leaf=leaf, explored_box=explored_box)
+    return _search(g, k, grundy_prune=False, required=(1 << (k + 1)) - 2, explored_box=explored_box)
 
 
 def _find_z(g: Graph, k: int, explored_box):
     # every z-coloring is a b-coloring, and the b search refutes k far faster
     if _find_b(g, k, explored_box) is None:
         return None
-
-    def leaf(color, class_mask, nbc):
-        cd = cd_flags(color, nbc, k)
-        return color[:] if star_from(g.adj, color, cd, k) is not None else None
-
     # the star u_1..u_k holds a color-dominating vertex of every class
-    return _search(g, k, grundy_prune=True, symmetric_colors=False, required=(1 << (k + 1)) - 2,
-                   leaf=leaf, explored_box=explored_box, star=True)
+    return _search(g, k, grundy_prune=True, required=(1 << (k + 1)) - 2, explored_box=explored_box,
+                   star=True)
 
 
 def _maximal_independent_sets(closed: list[int], s: int):
@@ -409,7 +401,7 @@ def exact_gamma(g: Graph, limit_n: int = 12) -> OracleResult:
 def exact_b(g: Graph, limit_n: int = 12) -> OracleResult:
     """Maximum colors of any color-dominating (b-) coloring."""
     check_limit(g.n, limit_n, "exact_b")
-    return _maximize(g, min(g.max_degree() + 1, m_degree_bound(g)), _find_b)
+    return _maximize(g, m_degree_bound(g), _find_b)
 
 
 def exact_z(g: Graph, limit_n: int = 14) -> OracleResult:

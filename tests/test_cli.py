@@ -231,6 +231,13 @@ def test_exact_size_limit(tmp_path, capsys):
     assert main(["exact", str(big), "--param", "z", "--limit", "20"]) == 0
 
 
+def test_exact_limit_zero_is_a_limit(tmp_path, capsys):
+    p3 = tmp_path / "p3.col"
+    p3.write_text(to_dimacs(path_graph(3)))
+    assert main(["exact", str(p3), "--param", "z", "--limit", "0"]) == 2
+    assert capsys.readouterr().err == "exact_z: graph has 3 vertices, limit is 0\n"
+
+
 def test_exact_rejects_oversized_problem_line_before_building(tmp_path, monkeypatch, capsys):
     real = Graph.from_edges.__func__
     built = []

@@ -210,6 +210,8 @@ def test_star_degree_bound_caps_z():
 
     def check_one(g):
         bound = star_degree_bound(g)
+        # k vertices of degree >= k-1 force a vertex of degree >= k-1
+        assert m_degree_bound(g) <= g.max_degree() + 1, g.edges()
         assert exact_z(g).value <= bound <= min(m_degree_bound(g), g.max_degree() + 1), g.edges()
 
     for g in (path_graph(5), cycle_graph(6), gen_Ktt_minus_matching(4), gen_Ktt_minus_matching(5, 4),
@@ -244,6 +246,17 @@ def test_oracle_outputs_golden():
     assert digest.hexdigest() == "bead9260ab4faed59cbd917fad009eac886424ab0de5975b93971adf75465edb"
 
 
+def test_oracle_search_tree_pinned():
+    # total nodes of each oracle over the hosts of test_oracle_outputs_golden:
+    # a change that keeps the node order keeps these sums
+    rng = random.Random(2026)
+    hosts = [gnp(rng.randint(1, 9), rng.choice([0.25, 0.4, 0.6, 0.8]), rng) for _ in range(60)]
+    hosts += [path_graph(5), cycle_graph(6), gen_Ktt_minus_matching(4), gen_Ktt_minus_matching(5, 4),
+              gen_Ht(3), gen_Ft(4)]
+    totals = tuple(sum(oracle(g).explored for g in hosts) for oracle in (exact_gamma, exact_b, exact_z))
+    assert totals == (4043, 980, 2178)
+
+
 def _independent_partitions(g):
     """Every partition of the vertices into independent sets, as block lists."""
     blocks = []
@@ -264,15 +277,17 @@ def _independent_partitions(g):
     yield from place(0)
 
 
-def _naive_z_counts(g):
-    """Every k for which g has a z-coloring with exactly k colors: each
-    labelling of each partition into independent sets, checked against the
-    definition (Grundy, and a color-k vertex seeing color-dominating
-    neighbours of every other color while being one itself)."""
-    counts = set()
+def _naive_counts(g):
+    """The sets of k for which g has a Grundy coloring, a b-coloring and a
+    z-coloring with exactly k colors: each labelling of each partition into
+    independent sets, checked against the definitions (Grundy: every vertex
+    sees all lower colors; b: every class holds a color-dominating vertex; z:
+    Grundy, and a color-k vertex seeing color-dominating neighbours of every
+    other color while being one itself)."""
+    grundy, b, z = set(), set(), set()
     for blocks in _independent_partitions(g):
         k = len(blocks)
-        if k in counts:
+        if k in z:
             continue
         for labels in itertools.permutations(range(1, k + 1)):
             color = [0] * g.n
@@ -280,15 +295,23 @@ def _naive_z_counts(g):
                 for v in block:
                     color[v] = label
             seen = [{color[w] for w in g.adj[v]} for v in range(g.n)]
+            dom = [seen[v] | {color[v]} == set(range(1, k + 1)) for v in range(g.n)]
+            if {color[v] for v in range(g.n) if dom[v]} == set(range(1, k + 1)):
+                b.add(k)
             if any(not set(range(1, color[v])) <= seen[v] for v in range(g.n)):
                 continue
-            dom = [seen[v] | {color[v]} == set(range(1, k + 1)) for v in range(g.n)]
+            grundy.add(k)
             if any(color[u] == k and dom[u]
                    and {color[w] for w in g.adj[u] if dom[w]} == set(range(1, k))
                    for u in range(g.n)):
-                counts.add(k)
+                z.add(k)
                 break
-    return counts
+    return grundy, b, z
+
+
+def _naive_z_counts(g):
+    """Every k for which g has a z-coloring with exactly k colors."""
+    return _naive_counts(g)[2]
 
 
 def test_find_z_coloring_matches_naive_enumeration():
@@ -304,6 +327,27 @@ def test_find_z_coloring_matches_naive_enumeration():
             assert (found is not None) == (k in counts), (g.edges(), k)
             if found is not None:
                 assert found.k == k and check_z(g, found).passed
+
+    check()
+
+
+def test_finders_match_naive_enumeration_per_k():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from zcoloring import oracle
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(small_graphs(st, 7))
+    def check(g):
+        grundy, b, _ = _naive_counts(g)
+        for finder, counts, predicate in ((oracle._find_grundy, grundy, check_grundy),
+                                          (oracle._find_b, b, check_cd)):
+            for k in range(2, g.n + 2):
+                found = finder(g, k, [0])
+                assert (found is not None) == (k in counts), (finder.__name__, g.edges(), k)
+                if found is not None:
+                    c = Coloring(tuple(found))
+                    assert c.k == k and predicate(g, c).passed, (finder.__name__, g.edges(), k)
 
     check()
 
