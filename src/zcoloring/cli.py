@@ -86,11 +86,17 @@ def _verify_output(g: Graph, c, level: str):
 
 
 def cmd_color(args) -> int:
+    if args.budget < 0:
+        print(f"color: --budget must be >= 0, got {args.budget}", file=sys.stderr)
+        return 2
+    if args.budget and args.heuristic not in ("z", "iz"):
+        print(f"color: --budget needs --heuristic z or iz, got {args.heuristic}", file=sys.stderr)
+        return 2
     g = _load_graph(args.input)
     start = time.perf_counter()
     try:
         c, level = run_heuristic(g, args.heuristic, args.rounds, args.seed)
-        if args.budget > 0 and level == "z":
+        if args.budget:
             # complementary augmentation: the improved coloring is proper but
             # usually no longer a z-coloring of the original graph
             improved = complementary(g, c, budget=args.budget, rng_seed=args.seed)

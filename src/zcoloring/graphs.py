@@ -78,9 +78,17 @@ class Graph:
         return Graph(self.n, tuple(adj))
 
     def with_vertex(self, neighbors) -> "Graph":
-        """Return the graph extended by one new vertex (index n) adjacent to `neighbors`."""
-        extra = [(self.n, w) for w in neighbors]
-        return Graph.from_edges(self.n + 1, self.edges() + extra)
+        """Return the graph extended by one new vertex (index n) adjacent to
+        `neighbors`.  Duplicates collapse; a neighbor outside 0..n-1 raises
+        ValueError.  Only the neighbors' lists change, and appending n keeps
+        them sorted."""
+        new = sorted(set(neighbors))
+        if new and not (0 <= new[0] and new[-1] < self.n):
+            raise ValueError(f"neighbors must lie in 0..{self.n - 1}")
+        adj = list(self.adj)
+        for w in new:
+            adj[w] += (self.n,)
+        return Graph(self.n + 1, (*adj, tuple(new)))
 
     def induced(self, vertices) -> "Graph":
         keep = sorted(set(vertices))

@@ -9,6 +9,22 @@ carries a dominating star of CD vertices (a z-coloring).  Two further drivers
 build on the pipeline: `complementary` re-colors through single-vertex
 augmentations, and `iterated_z` re-runs the pipeline over permuted class
 orders keeping the best result.
+
+The three reduction stages read "which colors does v see" off one count
+table (`_ColorCounts`), updated in O(deg v) per move, so no stage rebuilds
+what the stage before it has just built.  Where the checks run:
+
+- each public stage builds a fresh table from its input and checks the
+  input on it: length and properness always, the Grundy property for
+  `cd_gcd_transform` and `z_transform`, color-domination for `z_transform`.
+  Then it runs its private body (`_grundy`, `_cd`, `_z`) on that table;
+- `z_heuristic` runs `_grundy` and `_cd` on one table built from the greedy
+  coloring, then calls the public `z_transform`, whose entry check is
+  therefore the one from-scratch check of its input;
+- inside each z round the properness and Grundy checks that precede `_grundy`
+  and `_cd` are read off the table in O(n), with the same ValueError;
+- callers that publish a coloring (the CLI) verify it independently with
+  `verify.check_all`.
 """
 
 from __future__ import annotations
@@ -19,8 +35,7 @@ import random
 from dataclasses import dataclass, field
 
 from .graphs import Coloring, Graph
-from .verify import (cd_flags, cd_witnesses, check_proper, check_z, colors_seen, grundy_masks, least_absent,
-                     neighbor_colors, star_from)
+from .verify import cd_flags, cd_witnesses, check_z, colors_seen, least_absent, neighbor_colors, star_from
 
 
 @dataclass
@@ -47,6 +62,64 @@ def greedy_coloring(g: Graph, order=None) -> Coloring:
     return Coloring(tuple(colors))
 
 
+class _ColorCounts:
+    """Which colors each vertex sees, for a coloring that changes by moves and
+    class deletions: cnt[v][c] is the number of neighbors of v with color c,
+    and nbc[v] is verify.neighbor_colors of the current coloring (bit c set
+    iff cnt[v][c] > 0).  Colors run 1..k; rows have k+1 entries, so the
+    table holds n(k+1) counts: O(n + m) for a Grundy coloring, whose k is at
+    most max_degree+1, but more for a many-colored input to grundy_reduce."""
+
+    def __init__(self, g: Graph, colors):
+        if len(colors) != g.n:
+            raise ValueError(f"coloring covers {len(colors)} vertices, graph has {g.n}")
+        self.g, self.adj = g, g.adj
+        self.colors, self.cnt, self.nbc = list(colors), [], []
+        self.recount()
+
+    def recount(self) -> None:
+        """Rebuild the table from scratch for the current colors, k being the
+        largest of them."""
+        colors = self.colors
+        self.k = max(colors, default=0)
+        self.cnt[:] = [[0] * (self.k + 1) for _ in colors]
+        for row, nbrs in zip(self.cnt, self.adj):
+            for w in nbrs:
+                row[colors[w]] += 1
+        self.nbc[:] = neighbor_colors(self.g, colors)
+
+    def move(self, v: int, new: int) -> None:
+        """Recolor v to an existing color new in O(deg v)."""
+        old = self.colors[v]
+        self.colors[v] = new
+        cnt, nbc = self.cnt, self.nbc
+        keep, bit = ~(1 << old), 1 << new
+        for w in self.adj[v]:
+            row = cnt[w]
+            row[old] -= 1
+            if not row[old]:
+                nbc[w] &= keep
+            row[new] += 1
+            nbc[w] |= bit
+
+    def delete(self, j: int) -> None:
+        """Delete the empty class j; the classes above it move down by one."""
+        low = (1 << j) - 1
+        self.colors[:] = [col - (col > j) for col in self.colors]
+        for row in self.cnt:
+            del row[j]
+        self.nbc[:] = [mask & low | mask >> 1 & ~low for mask in self.nbc]
+        self.k -= 1
+
+    def require_proper(self, caller: str) -> None:
+        if any(row[col] for row, col in zip(self.cnt, self.colors)):
+            raise ValueError(f"{caller} requires a proper coloring")
+
+    def require_grundy(self, caller: str) -> None:
+        if any(~mask & ((1 << col) - 2) for mask, col in zip(self.nbc, self.colors)):
+            raise ValueError(f"{caller} requires a Grundy coloring")
+
+
 def grundy_reduce(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     """Enforce the Grundy property without adding colors.
 
@@ -54,25 +127,44 @@ def grundy_reduce(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     smallest such class, emptied classes are deleted and higher classes
     renamed down.  Each vertex moves at most once.
     """
-    if not check_proper(g, c):
-        raise ValueError("grundy_reduce requires a proper coloring")
-    color_of = list(c.colors)
-    trace = ReductionTrace()
+    # the scan deletes an empty input class above class 1 when it reaches it
+    # and does nothing else there, so those classes are dropped up front and
+    # the table has at most n+1 colors whatever the input's color values
+    rank = {col: r for r, col in enumerate(sorted({1, *c.colors}), start=1)}
+    table = _ColorCounts(g, [rank[col] for col in c.colors])
+    table.require_proper("grundy_reduce")
+    trace = ReductionTrace(iterations=max(c.k - 1, 0))
+    _grundy(table, trace.moves)
+    return Coloring(tuple(table.colors)), trace
+
+
+def _grundy(table: _ColorCounts, moves: list) -> None:
+    """grundy_reduce's scan, one iteration per class above class 1, on a
+    proper coloring in `table`; appends the moves."""
+    colors, nbc = table.colors, table.nbc
+    classes = [[] for _ in range(table.k)]
+    for v, col in enumerate(colors):
+        classes[col - 1].append(v)
     # moves only go down into classes already scanned, so each input class
-    # is scanned once, holding exactly its input vertices
+    # is scanned once, holding exactly its input vertices.  A class that
+    # empties keeps its color s in the table, marked in `gone` so that no
+    # vertex takes it, until one recount after the scan; meanwhile the name
+    # of a color is its value less the marked colors below it (i for s)
+    gone = 0
     i = 2
-    for members in c.classes()[1:]:
-        trace.iterations += 1
+    for s, members in enumerate(classes[1:], start=2):
         for v in members:
-            j = least_absent(colors_seen(g.adj[v], color_of))
-            if j < i:
-                color_of[v] = j
-                trace.moves.append((v, i, j))
-        if all(color_of[v] != i for v in members):
-            color_of = [col - (col > i) for col in color_of]
+            j = least_absent(nbc[v] | gone)
+            if j < s:
+                table.move(v, j)
+                moves.append((v, i, j - (gone & ((1 << j) - 1)).bit_count()))
+        if all(colors[v] != s for v in members):
+            gone |= 1 << s
         else:
             i += 1
-    return Coloring(tuple(color_of)), trace
+    if gone:
+        colors[:] = [col - (gone & ((1 << col) - 1)).bit_count() for col in colors]
+        table.recount()
 
 
 def cd_gcd_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
@@ -87,28 +179,33 @@ def cd_gcd_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     The scan goes all the way down to class 1: stopping at class 2 can leave
     class 1 without a CD vertex (e.g. the 4-path colored 1,3,2,1).
     """
-    nbc = grundy_masks(g, c)
-    if nbc is None:
-        raise ValueError("cd_gcd_transform requires a Grundy coloring")
-    color_of = list(c.colors)
+    table = _ColorCounts(g, c.colors)
+    table.require_proper("cd_gcd_transform")
+    table.require_grundy("cd_gcd_transform")
     trace = ReductionTrace()
-    k = c.k
-    while k > 2:
-        first = cd_witnesses(color_of, cd_flags(color_of, nbc, k))
+    trace.iterations = _cd(table, trace.moves)
+    return Coloring(tuple(table.colors)), trace
+
+
+def _cd(table: _ColorCounts, moves: list) -> int:
+    """cd_gcd_transform's scan on a Grundy coloring in `table`; appends the
+    moves and returns the number of class checks."""
+    colors, nbc = table.colors, table.nbc
+    iterations = 0
+    while table.k > 2:
+        k = table.k
+        first = cd_witnesses(colors, cd_flags(colors, nbc, k))
         j = next((j for j in range(k - 2, 0, -1) if j not in first), None)
         if j is None:
-            trace.iterations += k - 2
-            break
-        trace.iterations += k - 1 - j
-        for v in [v for v, col in enumerate(color_of) if col == j]:
+            return iterations + k - 2
+        iterations += k - 1 - j
+        for v in [v for v, col in enumerate(colors) if col == j]:
             # exists: v is not CD and the Grundy property covers all lower classes
-            p = least_absent(colors_seen(g.adj[v], color_of) | ((2 << j) - 1))
-            color_of[v] = p
-            trace.moves.append((v, j, p))
-        color_of = [col - (col > j) for col in color_of]
-        k -= 1
-        nbc = neighbor_colors(g, color_of)
-    return Coloring(tuple(color_of)), trace
+            p = least_absent(nbc[v] | ((2 << j) - 1))
+            table.move(v, p)
+            moves.append((v, j, p))
+        table.delete(j)
+    return iterations
 
 
 def z_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
@@ -121,54 +218,63 @@ def z_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     both reductions on the refined classes.  Either the class count or the top
     class shrinks every round, so rounds are bounded by n.
     """
-    nbc = grundy_masks(g, c)
-    if nbc is None:
-        raise ValueError("z_transform requires a Grundy coloring")
-    color_of = list(c.colors)
-    t = c.k
-    cd = cd_flags(color_of, nbc, t)
-    if len(cd_witnesses(color_of, cd)) < t:
+    table = _ColorCounts(g, c.colors)
+    table.require_proper("z_transform")
+    table.require_grundy("z_transform")
+    if len(cd_witnesses(table.colors, cd_flags(table.colors, table.nbc, table.k))) < table.k:
         raise ValueError("z_transform requires a color-dominating coloring")
     trace = ReductionTrace()
+    trace.iterations = _z(table, trace.moves)
+    return Coloring(tuple(table.colors)), trace
+
+
+def _z(table: _ColorCounts, moves: list) -> int:
+    """z_transform's rounds on a Grundy + CD coloring in `table`; appends the
+    moves and returns the number of rounds."""
+    adj, colors, nbc = table.adj, table.colors, table.nbc
+    rounds = 0
+    t = table.k
+    cd = cd_flags(colors, nbc, t)
     # every top vertex of a Grundy coloring is CD, so a nice vertex is
     # exactly the center of a dominating star
-    while t > 1 and star_from(g.adj, color_of, cd, t) is None:
-        u = color_of.index(t)
-        i_u = least_absent(colors_seen([w for w in g.adj[u] if cd[w]], color_of))
+    while t > 1 and star_from(adj, colors, cd, t) is None:
+        u = colors.index(t)
+        i_u = least_absent(colors_seen([w for w in adj[u] if cd[w]], colors))
         recolored = [(u, t, i_u)]
-        for w in g.adj[u]:
-            if color_of[w] != i_u:
+        for w in adj[u]:
+            if colors[w] != i_u:
                 continue
             j_w = least_absent(nbc[w] | 1 << i_u)
             assert i_u < j_w < t
             recolored.append((w, i_u, j_w))
         for v, _old, new in recolored:
-            color_of[v] = new
-        trace.moves.extend(recolored)
-        refined = Coloring(tuple(color_of)).normalize()
-        refined, tr1 = grundy_reduce(g, refined)
-        refined, tr2 = cd_gcd_transform(g, refined)
-        color_of = list(refined.colors)
-        trace.moves.extend(tr1.moves)
-        trace.moves.extend(tr2.moves)
-        trace.iterations += 1
-        if trace.iterations > 4 * g.n + 4:
+            table.move(v, new)
+        moves.extend(recolored)
+        # only the top class can empty: u leaves it, and class i_u gains u
+        if t not in colors:
+            table.delete(t)
+        table.require_proper("grundy_reduce")
+        _grundy(table, moves)
+        table.require_grundy("cd_gcd_transform")
+        _cd(table, moves)
+        rounds += 1
+        if rounds > 4 * len(colors) + 4:
             raise RuntimeError("z_transform failed to converge")
-        t = refined.k
-        nbc = neighbor_colors(g, color_of)
-        cd = cd_flags(color_of, nbc, t)
-    return Coloring(tuple(color_of)), trace
+        t = table.k
+        cd = cd_flags(colors, nbc, t)
+    return rounds
 
 
 def z_heuristic(g: Graph, seed_order=None) -> tuple[Coloring, ReductionTrace]:
     """Full pipeline from scratch: greedy over `seed_order`, then the Grundy,
     color-dominating and z refinements.  Output passes check_z and uses at
     most max_degree+1 colors."""
-    c = greedy_coloring(g, seed_order)
-    c, tr1 = grundy_reduce(g, c)
-    c, tr2 = cd_gcd_transform(g, c)
-    c, tr3 = z_transform(g, c)
-    return c, ReductionTrace(tr1.moves + tr2.moves + tr3.moves, tr3.iterations)
+    table = _ColorCounts(g, greedy_coloring(g, seed_order).colors)
+    moves = []
+    _grundy(table, moves)
+    _cd(table, moves)
+    c, tr3 = z_transform(g, Coloring(tuple(table.colors)))
+    return c, ReductionTrace(moves + tr3.moves, tr3.iterations)
 
 
 def complementary(g: Graph, c: Coloring, budget: int = 1000, rng_seed: int = 0) -> Coloring:

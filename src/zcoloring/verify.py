@@ -161,13 +161,6 @@ def check_grundy(g: Graph, c: Coloring) -> Verdict:
     return _grundy_verdict(c.colors, _proper_masks(g, c, "check_grundy"))
 
 
-def grundy_masks(g: Graph, c: Coloring) -> list[int] | None:
-    """check_grundy for callers that go on to use the masks: neighbor_colors
-    of c on a pass, None on a fail."""
-    nbc = _proper_masks(g, c, "check_grundy")
-    return nbc if _grundy_verdict(c.colors, nbc) else None
-
-
 def dominating_vertices(g: Graph, c: Coloring, class_index: int) -> list[int]:
     """Vertices of the given class adjacent to every other color in use.
 

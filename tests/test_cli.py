@@ -73,6 +73,16 @@ def test_color_budget_runs_complementary_pass(tmp_path, capsys):
     assert with_budget.coloring.k <= plain.coloring.k
 
 
+def test_color_budget_needs_z_heuristic_and_non_negative_value(p5_file, capsys):
+    cases = [(["--budget", "-1"], "color: --budget must be >= 0, got -1\n")]
+    cases += [(["--heuristic", h, "--budget", "5"], f"color: --budget needs --heuristic z or iz, got {h}\n")
+              for h in ("greedy", "grundy", "gcd")]
+    for extra, message in cases:
+        assert main(["color", p5_file, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+
+
 # `color --format table` summaries without the time, recorded before the four
 # flags came from one verification pass; the 7-vertex graph's greedy coloring
 # is 1 1 2 3 4 2 2 (Grundy, not CD), and on the 10-vertex graph the

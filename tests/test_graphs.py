@@ -134,6 +134,33 @@ def test_drop_edge_matches_rebuild():
     check()
 
 
+def test_with_vertex_matches_rebuild():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graph_and_neighbors(draw):
+        g = draw(small_graphs(st, 9))
+        neighbors = draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=2 * g.n)) if g.n else []
+        # the new vertex itself (index n) is out of range too
+        bad = draw(st.one_of(st.none(), st.sampled_from([-1, g.n, g.n + 1])))
+        if bad is not None:
+            neighbors.insert(draw(st.integers(0, len(neighbors))), bad)
+        return g, neighbors, bad
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(graph_and_neighbors())
+    def check(case):
+        g, neighbors, bad = case
+        if bad is None:
+            assert g.with_vertex(neighbors) == Graph.from_edges(g.n + 1, g.edges() + [(g.n, w) for w in neighbors])
+        else:
+            with pytest.raises(ValueError):
+                g.with_vertex(neighbors)
+
+    check()
+
+
 def test_drop_edge_rejects_missing_and_out_of_range():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     for u, v in [(0, 2), (1, 1), (-1, 2), (3, -2), (4, 0), (0, 4)]:

@@ -1,10 +1,13 @@
 import hashlib
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph, small_graphs
 
 from zcoloring import (
     Coloring,
@@ -29,6 +32,8 @@ from zcoloring import (
     z_transform,
 )
 from zcoloring.randgraphs import gnp, random_tree
+from zcoloring.reduce import _ColorCounts
+from zcoloring.verify import neighbor_colors
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -183,6 +188,92 @@ def test_z_transform_properties_random():
         assert trace.iterations <= g.n
         again, trace2 = z_transform(g, out)
         assert again == out and trace2.iterations == 0  # idempotent
+
+
+def test_public_stages_reject_bad_input_with_value_error():
+    p4 = path_graph(4)
+    wrong_length = [Coloring((1, 2, 1)), Coloring((1, 2, 1, 2, 1))]
+    improper = Coloring((1, 1, 2, 1))
+    not_grundy = Coloring((1, 3, 1, 2))  # proper, vertex 1 misses color 2
+    for stage in (grundy_reduce, cd_gcd_transform, z_transform):
+        for c in [*wrong_length, improper]:
+            with pytest.raises(ValueError):
+                stage(p4, c)
+    for stage in (cd_gcd_transform, z_transform):
+        with pytest.raises(ValueError, match="Grundy"):
+            stage(p4, not_grundy)
+
+
+def test_grundy_reduce_huge_color_values():
+    # empty classes between used colors cost one iteration each and nothing
+    # else; none of them may be materialized.  The call runs in a child
+    # process capped at 1 GiB of address space, so a regression fails with
+    # MemoryError instead of exhausting the machine's memory.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from zcoloring import Coloring, Graph, grundy_reduce\n"
+        "c, trace = grundy_reduce(Graph.from_edges(3, [(0, 1), (1, 2)]), Coloring((10**12, 1, 10**15)))\n"
+        "print(c.colors, trace.moves, trace.iterations)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"(2, 1, 2) [(2, 3, 2)] {10**15 - 1}\n"
+
+
+def test_color_counts_track_moves_and_deletions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        g = draw(small_graphs(st, 9))
+        order = draw(st.permutations(range(g.n)))
+        # a proper coloring with gaps, so that empty classes exist
+        colors = [2 * col - draw(st.integers(0, 1)) for col in greedy_coloring(g, order).colors]
+        steps = draw(st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)), max_size=25))
+        return g, colors, steps
+
+    def recount(g, colors, k):
+        return [[sum(colors[w] == col for w in g.adj[v]) for col in range(k + 1)] for v in range(g.n)]
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, colors, steps = case
+        table = _ColorCounts(g, colors)
+        for a, b in steps:
+            empty = [j for j in range(1, table.k + 1) if j not in table.colors]
+            if empty and a % 3 == 0:
+                table.delete(empty[b % len(empty)])
+            elif g.n:
+                # a legal move: v takes a color 1..k absent from its neighbors
+                v = a % g.n
+                free = [col for col in range(1, table.k + 1)
+                        if col != table.colors[v] and not table.nbc[v] >> col & 1]
+                if free:
+                    table.move(v, free[b % len(free)])
+            assert table.nbc == neighbor_colors(g, table.colors)
+            assert table.cnt == recount(g, table.colors, table.k)
+            table.require_proper("test")
+
+    check()
+
+
+def test_z_heuristic_is_the_composed_stages():
+    rng = random.Random(39)
+    for _ in range(60):
+        g = gnp(rng.randint(1, 40), rng.choice([0.1, 0.3, 0.6]), rng)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        c1, tr1 = grundy_reduce(g, greedy_coloring(g, order))
+        c2, tr2 = cd_gcd_transform(g, c1)
+        c3, tr3 = z_transform(g, c2)
+        c, trace = z_heuristic(g, order)
+        assert c == c3
+        assert trace.moves == tr1.moves + tr2.moves + tr3.moves
+        assert trace.iterations == tr3.iterations
 
 
 def test_z_heuristic_k1():
