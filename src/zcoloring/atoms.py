@@ -22,6 +22,10 @@ from .graphs import ColoredGraph, Coloring, Graph, parse_coloring_record, serial
 from .oracle import z_reaches
 from .verify import Verdict, Violation, check_z, neighbor_colors, verify_star
 
+# largest t that phase1_generate and generate_atoms accept; the triangle-free
+# t=5 construction already faces ~1.4e9 raw grundify candidates at stage 3
+MAX_T = 4
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -118,7 +122,7 @@ def _phase1_with_prov(t: int):
         )
 
 
-def phase1_generate(t: int, max_t: int = 4) -> list[ColoredGraph]:
+def phase1_generate(t: int) -> list[ColoredGraph]:
     """All edge-minimal colored graphs extending the star on colors 1..t+1 so
     that each leaf u_p has neighbors of every color above p (condition on
     which the atom construction rests), deduplicated up to color-preserving
@@ -126,8 +130,8 @@ def phase1_generate(t: int, max_t: int = 4) -> list[ColoredGraph]:
     its own, so every candidate is edge-minimal for that condition."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t > max_t:
-        raise ValueError(f"t={t} exceeds the configured maximum {max_t}")
+    if t > MAX_T:
+        raise ValueError(f"t={t} exceeds the configured maximum {MAX_T}")
     return [cg for cg, _ in _dedup(_phase1_with_prov(t))]
 
 
@@ -180,7 +184,6 @@ def generate_atoms(
     triangle_free: bool = False,
     *,
     allow_large: bool = False,
-    max_t: int = 4,
 ) -> AtomCatalog:
     """Generate the atom catalog for z-number t.
 
@@ -193,8 +196,8 @@ def generate_atoms(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if t > max_t:
-        raise ValueError(f"t={t} exceeds the configured maximum {max_t}")
+    if t > MAX_T:
+        raise ValueError(f"t={t} exceeds the configured maximum {MAX_T}")
     if t >= 4 and not triangle_free and not allow_large:
         raise ValueError("unfiltered catalogs for t >= 4 are gated behind allow_large")
 

@@ -16,28 +16,27 @@ runs the b search first and returns None when it fails; the b search, whose
 colors are interchangeable, refutes a target far faster than the ordered z
 search.  Only when a b-coloring with k colors exists does the z search run,
 so values and witnesses are those of the z search alone, and z's `explored`
-includes the nodes of the b probes.
-The gamma oracle takes its value from a memoized recursion over maximal
-independent sets (`_grundy_number`) and makes one probe, at that value, for
-the witness; its `explored` counts the subsets the recursion solved plus the
-nodes of that probe.  The backtracking engine assigns vertices
-most-saturated-first with properness pruning; Grundy-style targets
-additionally prune any vertex whose missing lower colors exceed its
+includes the nodes of the b probes.  The backtracking engine (`_search`)
+assigns vertices most-saturated-first with properness pruning; the z search
+additionally prunes any vertex whose missing lower colors exceed its
 unassigned neighbors.
+The gamma oracle runs no search: a memoized recursion over maximal
+independent sets (`_grundy_coloring`) yields the value and, by peeling the
+recorded best set of each subset, a witness with that many classes.
 
 Class-witness pruning: a b- or z-coloring with k colors has a
-color-dominating vertex (one that sees the k-1 other colors) in every class,
-and a Grundy k-coloring has one in class k.  The engine cuts a branch as soon
-as some such class can no longer get one: no vertex of that color, and no
-uncolored vertex that may still take it, sees enough colors plus uncolored
-neighbors to reach k-1.  The z search also cuts a branch once its dominating
-star can no longer form: no vertex that may still become color-dominating and
-take color k has such neighbours that may still take, between them, every
-color of 1..k-1.  The cut subtrees hold no solution, so values and witnesses
-are those of the unpruned search; only `OracleResult.explored` (the node
-count `zcolor exact --format table` prints) reads lower.  The same tests
-accept a complete assignment, so the oracles share no code with `verify`,
-whose checks stay an independent test of their witnesses.
+color-dominating vertex (one that sees the k-1 other colors) in every class.
+The engine cuts a branch as soon as some class can no longer get one: no
+vertex of that color, and no uncolored vertex that may still take it, sees
+enough colors plus uncolored neighbors to reach k-1.  The z search also cuts
+a branch once its dominating star can no longer form: no vertex that may
+still become color-dominating and take color k has such neighbours that may
+still take, between them, every color of 1..k-1.  The cut subtrees hold no
+solution, so values and witnesses are those of the unpruned search; only
+`OracleResult.explored` (the node count `zcolor exact --format table`
+prints) reads lower.  The same tests accept a complete assignment, so the
+oracles share no code with `verify`, whose checks stay an independent test
+of their witnesses.
 """
 
 from __future__ import annotations
@@ -54,6 +53,11 @@ class SizeLimitError(ValueError):
 
 @dataclass
 class OracleResult:
+    """An oracle's value, a witness coloring with exactly `value` colors, and
+    `explored`, a count of the oracle's work: branch-and-bound nodes for chi,
+    subsets solved by the recursion for gamma, search nodes for b, and the
+    b-probe nodes plus the z-search nodes for z."""
+
     value: int
     witness: Coloring
     explored: int
@@ -114,35 +118,37 @@ def _star_open(k: int, color, nbc, un, nbrs) -> bool:
     return False
 
 
-def _search(g: Graph, k: int, grundy_prune: bool, required: int, explored_box, star: bool = False):
+def _search(g: Graph, k: int, star: bool, explored_box):
     """Find a proper coloring with colors in 1..k that passes the cuts below
-    at its complete assignment, or None.
+    at its complete assignment, or None: a b-coloring, or with `star` a
+    z-coloring.
 
     `nbc[v]` is the bitmask of colors present in v's neighborhood (bit c =
     color c).  Vertices are picked most-saturated-first (DSATUR style, degree
     then index as deterministic tie-breaks) so contradictions surface early.
-    Without `grundy_prune` the colors are interchangeable, so a vertex takes
-    at most one color not used yet.
+    Without `star` the colors are interchangeable, so a vertex takes at most
+    one color not used yet.  With `star` (z mode) the colors are ordered:
+    a vertex is cut once its missing lower colors exceed its uncolored
+    neighbors.
 
-    `required` is the bitmask of the colors whose class must contain a
-    color-dominating vertex.  A vertex can still become one only if the
-    colors it sees plus its uncolored neighbors reach k-1; such a vertex
-    covers its own color, or if uncolored every color it does not see.  A
-    node where some required color is left uncovered is cut: that sum never
-    grows deeper in the branch.
+    Every class must contain a color-dominating vertex.  A vertex can still
+    become one only if the colors it sees plus its uncolored neighbors reach
+    k-1; such a vertex covers its own color, or if uncolored every color it
+    does not see.  A node where some color is left uncovered is cut: that
+    sum never grows deeper in the branch.
 
-    With `star` (z mode) the node is also cut unless a dominating star can
-    still form: some such vertex that may still hold color k has such
-    neighbours that may still hold, between them, every color of 1..k-1.  A
-    vertex may hold its own color if colored, otherwise every color none of
-    its neighbours has; those sets, like the vertices themselves, only shrink
+    With `star` the node is also cut unless a dominating star can still
+    form: some such vertex that may still hold color k has such neighbours
+    that may still hold, between them, every color of 1..k-1.  A vertex may
+    hold its own color if colored, otherwise every color none of its
+    neighbours has; those sets, like the vertices themselves, only shrink
     deeper in the branch.
 
     The same cuts decide a complete assignment.  There no vertex has an
     uncolored neighbour and none sees its own color, so "sees k-1 colors"
     means color-dominating: the cover test asks for a color-dominating vertex
-    in every required class, and the star test for the dominating star.
-    With `grundy_prune` every vertex is saturated, so the coloring is Grundy.
+    in every class, and the star test for the dominating star.  With `star`
+    every vertex is also saturated, so the coloring is Grundy.
     """
     n = g.n
     adjm = g.adjacency_masks()
@@ -154,6 +160,7 @@ def _search(g: Graph, k: int, grundy_prune: bool, required: int, explored_box, s
     nbc = [0] * n
     un = deg[:]
     used = [0]
+    required = (1 << (k + 1)) - 2
 
     def feasible(v: int) -> bool:
         missing = ((1 << color[v]) - 2) & ~nbc[v]
@@ -182,7 +189,7 @@ def _search(g: Graph, k: int, grundy_prune: bool, required: int, explored_box, s
             return color[:]
         av = adjm[v]
         vbit = 1 << v
-        top = k if grundy_prune else min(k, max_used + 1)
+        top = k if star else min(k, max_used + 1)
         for c in range(1, top + 1):
             if av & class_mask[c]:
                 continue
@@ -198,7 +205,7 @@ def _search(g: Graph, k: int, grundy_prune: bool, required: int, explored_box, s
                     nbc[w] |= cbit
                 un[w] -= 1
             ok = True
-            if grundy_prune:
+            if star:
                 if not feasible(v):
                     ok = False
                 else:
@@ -225,22 +232,15 @@ def _search(g: Graph, k: int, grundy_prune: bool, required: int, explored_box, s
     return dfs(0, 0)
 
 
-def _find_grundy(g: Graph, k: int, explored_box):
-    # a vertex of color k sees all of 1..k-1, so it is color-dominating
-    return _search(g, k, grundy_prune=True, required=1 << k, explored_box=explored_box)
-
-
 def _find_b(g: Graph, k: int, explored_box):
-    return _search(g, k, grundy_prune=False, required=(1 << (k + 1)) - 2, explored_box=explored_box)
+    return _search(g, k, False, explored_box)
 
 
 def _find_z(g: Graph, k: int, explored_box):
     # every z-coloring is a b-coloring, and the b search refutes k far faster
     if _find_b(g, k, explored_box) is None:
         return None
-    # the star u_1..u_k holds a color-dominating vertex of every class
-    return _search(g, k, grundy_prune=True, required=(1 << (k + 1)) - 2, explored_box=explored_box,
-                   star=True)
+    return _search(g, k, True, explored_box)
 
 
 def _maximal_independent_sets(closed: list[int], s: int):
@@ -282,8 +282,9 @@ def _maximal_independent_sets(closed: list[int], s: int):
         stack.extend(reversed(children))
 
 
-def _grundy_number(g: Graph, explored_box) -> int:
-    """Grundy number of g by a subset recursion over maximal independent sets.
+def _grundy_coloring(g: Graph, explored_box) -> list[int]:
+    """A Grundy coloring of g with Gamma(g) colors, by a subset recursion over
+    maximal independent sets.
 
     Class 1 of a Grundy coloring is a maximal independent set I and the
     other classes, shifted down by one, form a Grundy coloring of G - I;
@@ -292,13 +293,16 @@ def _grundy_number(g: Graph, explored_box) -> int:
     Values are memoized by vertex mask; recursion depth stays <= Gamma.
     Gamma(H) <= Delta(H) + 1 cuts twice: a subset stops once its best reaches
     that bound, and a child whose bound cannot beat the best is skipped.
-    `explored_box` counts the subsets solved.
+    Each solved subset records the set I that gave its best value, and the
+    coloring is peeled from the full vertex set: class j is the set recorded
+    for what classes 1..j-1 left.  It has Gamma classes and is Grundy, since
+    each class is maximal independent in what remains.  `explored_box`
+    counts the subsets solved.
     """
-    if g.n == 0:
-        return 0
     adjm = g.adjacency_masks()
     closed = [a | (1 << v) for v, a in enumerate(adjm)]
     memo = {0: 0}
+    pick = {}
 
     def bound(s: int) -> int:
         top = 0
@@ -324,13 +328,26 @@ def _grundy_number(g: Graph, explored_box) -> int:
                 val = solve(rest, rest_top)
             if val + 1 > best:
                 best = val + 1
+                pick[s] = mis
                 if best >= top:
                     break
         memo[s] = best
         return best
 
-    full = (1 << g.n) - 1
-    return solve(full, bound(full))
+    s = (1 << g.n) - 1
+    if s:
+        solve(s, bound(s))
+    color = [0] * g.n
+    j = 0
+    while s:
+        j += 1
+        mis = pick[s]
+        s &= ~mis
+        while mis:
+            low = mis & -mis
+            mis ^= low
+            color[low.bit_length() - 1] = j
+    return color
 
 
 def _maximize(g: Graph, start_k: int, finder) -> OracleResult:
@@ -385,17 +402,12 @@ def exact_chi(g: Graph, limit_n: int = 12) -> OracleResult:
 
 
 def exact_gamma(g: Graph, limit_n: int = 12) -> OracleResult:
-    """Maximum colors of any Grundy (first-fit) coloring.  The value comes
-    from `_grundy_number`; the witness is the first one the search finds with
-    exactly that many colors."""
+    """Maximum colors of any Grundy (first-fit) coloring, with the coloring
+    `_grundy_coloring` peels as witness."""
     check_limit(g.n, limit_n, "exact_gamma")
     explored = [0]
-    k = _grundy_number(g, explored)
-    if k <= 1:
-        # edgeless: every vertex takes color 1
-        return OracleResult(k, Coloring((1,) * g.n), explored[0])
-    found = _find_grundy(g, k, explored)
-    return OracleResult(k, Coloring(tuple(found)), explored[0])
+    witness = Coloring(tuple(_grundy_coloring(g, explored)))
+    return OracleResult(witness.k, witness, explored[0])
 
 
 def exact_b(g: Graph, limit_n: int = 12) -> OracleResult:

@@ -18,9 +18,10 @@ what the stage before it has just built.  Where the checks run:
   input on it: length and properness always, the Grundy property for
   `cd_gcd_transform` and `z_transform`, color-domination for `z_transform`.
   Then it runs its private body (`_grundy`, `_cd`, `_z`) on that table;
-- `z_heuristic` runs `_grundy` and `_cd` on one table built from the greedy
-  coloring, then calls the public `z_transform`, whose entry check is
-  therefore the one from-scratch check of its input;
+- `z_heuristic` runs `_cd` on a table built from the greedy coloring, which
+  is Grundy already (first-fit gives every vertex the least color its
+  earlier neighbours miss), then calls the public `z_transform`, whose entry
+  check is therefore the one from-scratch check of its input;
 - inside each z round the properness and Grundy checks that precede `_grundy`
   and `_cd` are read off the table in O(n), with the same ValueError;
 - callers that publish a coloring (the CLI) verify it independently with
@@ -266,12 +267,12 @@ def _z(table: _ColorCounts, moves: list) -> int:
 
 
 def z_heuristic(g: Graph, seed_order=None) -> tuple[Coloring, ReductionTrace]:
-    """Full pipeline from scratch: greedy over `seed_order`, then the Grundy,
-    color-dominating and z refinements.  Output passes check_z and uses at
+    """Full pipeline from scratch: greedy over `seed_order`, then the
+    color-dominating and z refinements; the greedy coloring is Grundy, so
+    the Grundy stage would move nothing.  Output passes check_z and uses at
     most max_degree+1 colors."""
     table = _ColorCounts(g, greedy_coloring(g, seed_order).colors)
     moves = []
-    _grundy(table, moves)
     _cd(table, moves)
     c, tr3 = z_transform(g, Coloring(tuple(table.colors)))
     return c, ReductionTrace(moves + tr3.moves, tr3.iterations)

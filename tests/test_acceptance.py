@@ -168,6 +168,18 @@ def test_criterion_3_bound_prover_on_g4(d4_triangle_free_catalog):
     _report(3, "bound prover on G_4", problems)
 
 
+def test_g4_induced_subgraph_exceeds_its_z_number():
+    # criterion 3 without a catalog.  S is the image of the 7-vertex atom of
+    # the triangle-free D_4 in G_4, and G_4[S] has a 4-color z-coloring while
+    # G_4 has none: zeta(G_4) >= 4 > z(G_4), where zeta(G) is the largest z
+    # over induced subgraphs of G.  Since an atom of D_t embeds in G exactly
+    # when some induced subgraph of G has a z-coloring with t colors, no sound
+    # D_4 catalog can certify z(G_4) <= 3
+    g4 = gen_Gt(4)
+    assert exact_z(g4.induced([0, 1, 2, 4, 5, 6, 7])).value == 4
+    assert exact_z(g4, limit_n=19).value == 3
+
+
 def test_criterion_4_tree_extremals():
     problems = []
     seq = a_sequence(30)

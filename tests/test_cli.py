@@ -279,9 +279,12 @@ def test_exact_rejects_oversized_problem_line_before_building(tmp_path, monkeypa
 def test_exact_deep_search_exits_2(tmp_path, capsys):
     path = tmp_path / "path2000.col"
     path.write_text(to_dimacs(path_graph(2000)))
-    assert main(["exact", str(path), "--param", "gamma", "--limit", "3000"]) == 2
+    assert main(["exact", str(path), "--param", "b", "--limit", "3000"]) == 2
     err = capsys.readouterr().err
     assert "too deep" in err and len(err.splitlines()) == 1
+    # the gamma recursion is at most Gamma deep
+    assert main(["exact", str(path), "--param", "gamma", "--limit", "3000"]) == 0
+    assert " = 3 " in capsys.readouterr().out
     path = tmp_path / "path900.col"
     path.write_text(to_dimacs(path_graph(900)))
     assert main(["exact", str(path), "--param", "gamma", "--limit", "900"]) == 0

@@ -227,34 +227,44 @@ def test_star_degree_bound_caps_z():
 
 
 def test_oracle_outputs_golden():
-    # pins value and witness of the maximization oracles, z_reaches and
-    # find_z_coloring; the digest was taken before the search learned to cut
-    # branches where a class can no longer get a color-dominating vertex
+    # `digest` pins the gamma values, value and witness of the b and z
+    # oracles, z_reaches and find_z_coloring, as the searches found them
+    # before they learned to cut branches where a class can no longer get a
+    # color-dominating vertex.  `peeled` pins the gamma witnesses, which the
+    # maximal-independent-set recursion peels since it replaced the witness
+    # search
     rng = random.Random(2026)
     hosts = [gnp(rng.randint(1, 9), rng.choice([0.25, 0.4, 0.6, 0.8]), rng) for _ in range(60)]
     hosts += [path_graph(5), cycle_graph(6), gen_Ktt_minus_matching(4), gen_Ktt_minus_matching(5, 4),
               gen_Ht(3), gen_Ft(4)]
     digest = hashlib.sha256()
+    peeled = hashlib.sha256()
     for g in hosts:
-        for oracle in (exact_gamma, exact_b, exact_z):
+        gamma = exact_gamma(g)
+        assert gamma.witness.k == gamma.value and check_grundy(g, gamma.witness).passed
+        digest.update(repr(gamma.value).encode())
+        peeled.update(repr(gamma.witness.colors).encode())
+        for oracle in (exact_b, exact_z):
             res = oracle(g)
             digest.update(repr((res.value, res.witness.colors)).encode())
         digest.update(repr([z_reaches(g, t) for t in range(2, 6)]).encode())
         for k in range(1, 6):
             found = find_z_coloring(g, k)
             digest.update(repr(None if found is None else found.colors).encode())
-    assert digest.hexdigest() == "bead9260ab4faed59cbd917fad009eac886424ab0de5975b93971adf75465edb"
+    assert digest.hexdigest() == "d91e86099e8cfcf4dc2d36bb53ee6afa956534c9569e5c34f22dfc73272f6100"
+    assert peeled.hexdigest() == "3c0f734d7d0ff392451a4a8ced50af35b1a1cb7b47f68492731bc9403d0cff0c"
 
 
 def test_oracle_search_tree_pinned():
-    # total nodes of each oracle over the hosts of test_oracle_outputs_golden:
-    # a change that keeps the node order keeps these sums
+    # total work of each oracle over the hosts of test_oracle_outputs_golden
+    # (subsets solved for gamma, search nodes for b and z): a change that
+    # keeps the node order keeps these sums
     rng = random.Random(2026)
     hosts = [gnp(rng.randint(1, 9), rng.choice([0.25, 0.4, 0.6, 0.8]), rng) for _ in range(60)]
     hosts += [path_graph(5), cycle_graph(6), gen_Ktt_minus_matching(4), gen_Ktt_minus_matching(5, 4),
               gen_Ht(3), gen_Ft(4)]
     totals = tuple(sum(oracle(g).explored for g in hosts) for oracle in (exact_gamma, exact_b, exact_z))
-    assert totals == (4043, 980, 2178)
+    assert totals == (808, 980, 2178)
 
 
 def _independent_partitions(g):
@@ -339,15 +349,13 @@ def test_finders_match_naive_enumeration_per_k():
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
     @hypothesis.given(small_graphs(st, 7))
     def check(g):
-        grundy, b, _ = _naive_counts(g)
-        for finder, counts, predicate in ((oracle._find_grundy, grundy, check_grundy),
-                                          (oracle._find_b, b, check_cd)):
-            for k in range(2, g.n + 2):
-                found = finder(g, k, [0])
-                assert (found is not None) == (k in counts), (finder.__name__, g.edges(), k)
-                if found is not None:
-                    c = Coloring(tuple(found))
-                    assert c.k == k and predicate(g, c).passed, (finder.__name__, g.edges(), k)
+        _, b, _ = _naive_counts(g)
+        for k in range(2, g.n + 2):
+            found = oracle._find_b(g, k, [0])
+            assert (found is not None) == (k in b), (g.edges(), k)
+            if found is not None:
+                c = Coloring(tuple(found))
+                assert c.k == k and check_cd(g, c).passed, (g.edges(), k)
 
     check()
 
@@ -386,33 +394,31 @@ def test_gamma_matches_first_fit_over_all_orders():
 
 
 def test_gamma_pinned_on_dense_14_vertex_graph():
-    # value and witness as the downward probes found them (290 890 nodes)
-    # before the value came from the maximal-independent-set recursion
-    res = exact_gamma(gnp(14, 0.45, random.Random(1)), limit_n=14)
+    # the value as the downward probes found it (290 890 nodes) before it
+    # came from the maximal-independent-set recursion, and the witness that
+    # recursion peels; a witness search at that value took 61 578 nodes
+    g = gnp(14, 0.45, random.Random(1))
+    res = exact_gamma(g, limit_n=14)
     assert res.value == 7
+    assert res.witness.k == 7 and check_grundy(g, res.witness).passed
     digest = hashlib.sha256(repr(res.witness.colors).encode()).hexdigest()
-    assert digest == "cbf81946eab111137d8b482e60710a3d59fccd6c4491163cf450017112e44c19"
+    assert digest == "633b40345ae2f40c7b5b2279b6f0374bdbd55ca726409559ead9a49ec1ecc708"
+    assert res.explored < 1_000
 
 
-def test_exact_gamma_probes_once_at_its_value(monkeypatch):
+def test_exact_gamma_runs_no_search(monkeypatch):
+    # the witness is peeled from the recursion that gives the value
     from zcoloring import oracle
 
-    real = oracle._find_grundy
-    calls = []
+    def spy(*args):
+        raise AssertionError("exact_gamma called _search")
 
-    def spy(g, k, explored_box):
-        calls.append(k)
-        return real(g, k, explored_box)
-
-    monkeypatch.setattr(oracle, "_find_grundy", spy)
+    monkeypatch.setattr(oracle, "_search", spy)
     rng = random.Random(43)
     hosts = [gnp(rng.randint(2, 9), rng.choice([0.3, 0.6]), rng) for _ in range(30)]
-    for g in hosts + [gen_Ht(3), complete_graph(5), path_graph(5)]:
-        if g.m == 0:
-            continue
-        calls.clear()
+    for g in hosts + [gen_Ht(3), complete_graph(5), path_graph(5), Graph.from_edges(0, [])]:
         res = exact_gamma(g)
-        assert calls == [res.value]
+        assert res.witness.k == res.value and check_grundy(g, res.witness).passed
 
 
 @pytest.mark.parametrize("n, p, digest, parent_nodes, most", [

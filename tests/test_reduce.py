@@ -268,6 +268,8 @@ def test_z_heuristic_is_the_composed_stages():
         order = list(range(g.n))
         rng.shuffle(order)
         c1, tr1 = grundy_reduce(g, greedy_coloring(g, order))
+        # first-fit output is Grundy already, so z_heuristic skips this stage
+        assert c1 == greedy_coloring(g, order) and tr1.moves == []
         c2, tr2 = cd_gcd_transform(g, c1)
         c3, tr3 = z_transform(g, c2)
         c, trace = z_heuristic(g, order)
