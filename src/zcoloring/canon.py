@@ -67,24 +67,24 @@ def canonical_certificate(g: Graph, c: Coloring) -> bytes:
         by_color.setdefault(colors[v], []).append(v)
     initial = [by_color[col] for col in sorted(by_color)]
 
-    best: list[bytes | None] = [None]
-
-    def search(cells: list[list[int]]) -> None:
-        cells = _refine(adj, cells)
+    # depth-first over the branching on an explicit stack; the certificate
+    # is the least over the leaves, so the visiting order does not matter
+    best: bytes | None = None
+    stack = [initial]
+    while stack:
+        cells = _refine(adj, stack.pop())
         target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if target is None:
             cert = _encode(n, colors, [v for cell in cells for v in cell], adj)
-            if best[0] is None or cert < best[0]:
-                best[0] = cert
-            return
+            if best is None or cert < best:
+                best = cert
+            continue
         cell = cells[target]
         for v in cell:
             rest = [u for u in cell if u != v]
-            search(cells[:target] + [[v], rest] + cells[target + 1:])
-
-    search(initial)
-    assert best[0] is not None
-    return best[0]
+            stack.append(cells[:target] + [[v], rest] + cells[target + 1:])
+    assert best is not None
+    return best
 
 
 def colored_canonical_form(cg: ColoredGraph) -> bytes:

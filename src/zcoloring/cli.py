@@ -41,6 +41,8 @@ from .verify import LEVELS, check_all, check_level
 
 HEURISTICS = ("greedy", "grundy", "gcd", "z", "iz")
 ORACLES = {"chi": exact_chi, "gamma": exact_gamma, "b": exact_b, "z": exact_z}
+# what each oracle's `explored` counts (see OracleResult)
+EXPLORED_UNITS = {"chi": "nodes", "gamma": "subsets", "b": "nodes", "z": "nodes"}
 FAMILY_NAMES = ("Ht", "Ft", "Gt", "Rk", "Tk")
 
 
@@ -162,7 +164,7 @@ def cmd_exact(args) -> int:
         sys.stdout.write(serialize_coloring(g, result.witness))
     else:
         print(f"{args.param}({args.input}) = {result.value} "
-              f"(explored {result.explored} nodes, {elapsed:.3f}s)")
+              f"(explored {result.explored} {EXPLORED_UNITS[args.param]}, {elapsed:.3f}s)")
     return 0
 
 

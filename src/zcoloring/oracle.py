@@ -16,10 +16,16 @@ runs the b search first and returns None when it fails; the b search, whose
 colors are interchangeable, refutes a target far faster than the ordered z
 search.  Only when a b-coloring with k colors exists does the z search run,
 so values and witnesses are those of the z search alone, and z's `explored`
-includes the nodes of the b probes.  The backtracking engine (`_search`)
-assigns vertices most-saturated-first with properness pruning; the z search
-additionally prunes any vertex whose missing lower colors exceed its
-unassigned neighbors.
+includes the nodes of the b probes.  The backtracking engine (`_search`) is
+one loop over an explicit stack of frames, so its depth is bounded by memory
+rather than the recursion limit.  It assigns vertices most-saturated-first
+with properness pruning, and the z search additionally prunes any vertex
+whose missing lower colors exceed its unassigned neighbors.  Per vertex it
+keeps the neighbour color counts, a slack (how far the vertex is from no
+longer being able to become color-dominating), the colors it may still hold
+as a dominating vertex, and its selection key, all updated in O(deg v) when
+v is assigned or unassigned, so a node's cuts and pick read those arrays
+instead of recomputing them from the neighbourhoods.
 The gamma oracle runs no search: a memoized recursion over maximal
 independent sets (`_grundy_coloring`) yields the value and, by peeling the
 recorded best set of each subset, a witness with that many classes.
@@ -33,10 +39,10 @@ a branch once its dominating star can no longer form: no vertex that may
 still become color-dominating and take color k has such neighbours that may
 still take, between them, every color of 1..k-1.  The cut subtrees hold no
 solution, so values and witnesses are those of the unpruned search; only
-`OracleResult.explored` (the node count `zcolor exact --format table`
-prints) reads lower.  The same tests accept a complete assignment, so the
-oracles share no code with `verify`, whose checks stay an independent test
-of their witnesses.
+`OracleResult.explored` (the count `zcolor exact --format table` prints)
+reads lower.  One acceptance rule: the same tests accept a complete
+assignment, so the oracles share no code with `verify`, whose checks stay an
+independent test of their witnesses.
 """
 
 from __future__ import annotations
@@ -99,50 +105,39 @@ def star_degree_bound(g: Graph) -> int:
     return best
 
 
-def _star_open(k: int, color, nbc, un, nbrs) -> bool:
-    """The star test of `_search` in z mode, on its partial coloring: True
-    while a dominating star may still form."""
-    kbit = 1 << k
-    below = kbit - 2
-    # hold[u]: the colors u may still hold if it may still become
-    # color-dominating, else 0 (bits above k never matter below)
-    hold = [(1 << c if c else ~seen) if seen.bit_count() + free >= k - 1 else 0
-            for c, seen, free in zip(color, nbc, un)]
-    for u, h in enumerate(hold):
-        if h & kbit:
-            reach = 0
-            for w in nbrs[u]:
-                reach |= hold[w]
-            if reach & below == below:
-                return True
-    return False
-
-
 def _search(g: Graph, k: int, star: bool, explored_box):
     """Find a proper coloring with colors in 1..k that passes the cuts below
     at its complete assignment, or None: a b-coloring, or with `star` a
     z-coloring.
 
-    `nbc[v]` is the bitmask of colors present in v's neighborhood (bit c =
-    color c).  Vertices are picked most-saturated-first (DSATUR style, degree
-    then index as deterministic tie-breaks) so contradictions surface early.
+    One loop over an explicit stack of frames [v, color tried, top,
+    max_used], one per vertex on the current branch, so the depth is bounded
+    by memory, not by the recursion limit.  Per vertex u the engine keeps,
+    updated in O(deg v) when v is assigned or unassigned:
+      `cnt[u][c]`  neighbours of u with color c, and `nbc[u]` the mask of
+                   colors present among them (bit c = color c);
+      `un[u]`      uncolored neighbours;
+      `slack[u]`   colors seen + uncolored neighbours - (k-1): u may still
+                   become color-dominating while it is >= 0, and it drops
+                   only when a neighbour takes a color u already sees;
+      `hold[u]`    the colors u may still hold while it may dominate: its
+                   own color bit once colored, otherwise the colors of 1..k
+                   none of its neighbours has; 0 once slack[u] < 0;
+      `key[u]`     seen*n^2 + deg*n + (n-1-u) while uncolored, -1 once
+                   colored: the largest is the most saturated vertex, with
+                   degree then lower index as deterministic tie-breaks.
+
     Without `star` the colors are interchangeable, so a vertex takes at most
     one color not used yet.  With `star` (z mode) the colors are ordered:
-    a vertex is cut once its missing lower colors exceed its uncolored
-    neighbors.
+    a colored vertex is cut once its missing lower colors exceed its
+    uncolored neighbors.  A color is also cut once the classes still empty
+    outnumber the uncolored vertices.
 
-    Every class must contain a color-dominating vertex.  A vertex can still
-    become one only if the colors it sees plus its uncolored neighbors reach
-    k-1; such a vertex covers its own color, or if uncolored every color it
-    does not see.  A node where some color is left uncovered is cut: that
-    sum never grows deeper in the branch.
-
-    With `star` the node is also cut unless a dominating star can still
-    form: some such vertex that may still hold color k has such neighbours
-    that may still hold, between them, every color of 1..k-1.  A vertex may
-    hold its own color if colored, otherwise every color none of its
-    neighbours has; those sets, like the vertices themselves, only shrink
-    deeper in the branch.
+    Every class must contain a color-dominating vertex, so a node is cut
+    unless the OR of `hold` covers 1..k: every `hold` only shrinks deeper in
+    the branch.  With `star` the node is also cut unless a dominating star
+    can still form: some vertex that may still hold color k has
+    neighbours that may still hold, between them, every color of 1..k-1.
 
     The same cuts decide a complete assignment.  There no vertex has an
     uncolored neighbour and none sees its own color, so "sees k-1 colors"
@@ -151,85 +146,118 @@ def _search(g: Graph, k: int, star: bool, explored_box):
     every vertex is also saturated, so the coloring is Grundy.
     """
     n = g.n
+    n2 = n * n
     adjm = g.adjacency_masks()
     nbrs = [list(a) for a in g.adj]
-    deg = [len(g.adj[v]) for v in range(n)]
+    required = (1 << (k + 1)) - 2
+    kbit = 1 << k
+    below = kbit - 2
     color = [0] * n
     class_mask = [0] * (k + 1)
     cnt = [[0] * (k + 1) for _ in range(n)]
     nbc = [0] * n
-    un = deg[:]
-    used = [0]
-    required = (1 << (k + 1)) - 2
-
-    def feasible(v: int) -> bool:
-        missing = ((1 << color[v]) - 2) & ~nbc[v]
-        return missing == 0 or missing.bit_count() <= un[v]
-
-    def dfs(idx: int, max_used: int):
-        explored_box[0] += 1
-        v = -1
-        best_key = (-1, -1, 1)
+    un = [len(a) for a in nbrs]
+    slack = [d - (k - 1) for d in un]
+    hold = [required if s >= 0 else 0 for s in slack]
+    base = [d * n + n - 1 - u for u, d in enumerate(un)]
+    key = base[:]
+    used = 0
+    explored = 0
+    stack = []
+    max_used = 0
+    while True:
+        # a new node: the current partial coloring
+        explored += 1
         cover = 0
-        for u in range(n):
-            seen = nbc[u].bit_count()
-            if color[u]:
-                if seen + un[u] >= k - 1:
-                    cover |= 1 << color[u]
+        for h in hold:
+            cover |= h
+        open_ = cover == required
+        if open_ and star:
+            open_ = False
+            for u in range(n):
+                if hold[u] & kbit:
+                    reach = 0
+                    for w in nbrs[u]:
+                        reach |= hold[w]
+                    if reach & below == below:
+                        open_ = True
+                        break
+        if open_:
+            if len(stack) == n:
+                explored_box[0] += explored
+                return color
+            v = key.index(max(key))
+            stack.append([v, 0, k if star else min(k, max_used + 1), max_used])
+        # advance the deepest frame to its next color, popping exhausted ones
+        while stack:
+            frame = stack[-1]
+            v, c, top, max_used = frame
+            if c:
+                # unassign v
+                cbit = 1 << c
+                for w in nbrs[v]:
+                    row = cnt[w]
+                    row[c] -= 1
+                    un[w] += 1
+                    if row[c] == 0:
+                        nbc[w] &= ~cbit
+                        if not color[w]:
+                            key[w] -= n2
+                            if slack[w] >= 0:
+                                hold[w] |= cbit
+                    else:
+                        slack[w] += 1
+                        if slack[w] == 0:
+                            hold[w] = 1 << color[w] if color[w] else required & ~nbc[w]
+                class_mask[c] &= ~(1 << v)
+                if not class_mask[c]:
+                    used -= 1
+                color[v] = 0
+                key[v] = nbc[v].bit_count() * n2 + base[v]
+                if slack[v] >= 0:
+                    hold[v] = required & ~nbc[v]
+            av = adjm[v]
+            c += 1
+            while c <= top and av & class_mask[c]:
+                c += 1
+            if c > top:
+                stack.pop()
                 continue
-            if seen + un[u] >= k - 1:
-                cover |= ~nbc[u]
-            key = (seen, deg[u], -u)
-            if key > best_key:
-                best_key = key
-                v = u
-        if required & ~cover or star and not _star_open(k, color, nbc, un, nbrs):
-            return None
-        if idx == n:
-            return color[:]
-        av = adjm[v]
-        vbit = 1 << v
-        top = k if star else min(k, max_used + 1)
-        for c in range(1, top + 1):
-            if av & class_mask[c]:
-                continue
-            color[v] = c
-            class_mask[c] |= vbit
+            # assign v color c
+            frame[1] = c
             cbit = 1 << c
-            if class_mask[c] == vbit:
-                used[0] += 1
+            color[v] = c
+            key[v] = -1
+            if not class_mask[c]:
+                used += 1
+            class_mask[c] |= 1 << v
+            if slack[v] >= 0:
+                hold[v] = cbit
+            ok = not star or ((cbit - 2) & ~nbc[v]).bit_count() <= un[v]
             for w in nbrs[v]:
                 row = cnt[w]
                 row[c] += 1
+                un[w] -= 1
                 if row[c] == 1:
                     nbc[w] |= cbit
-                un[w] -= 1
-            ok = True
-            if star:
-                if not feasible(v):
-                    ok = False
+                    if not color[w]:
+                        key[w] += n2
+                        hold[w] &= ~cbit
                 else:
-                    for w in nbrs[v]:
-                        if color[w] and not feasible(w):
-                            ok = False
-                            break
-            if ok and k - used[0] <= n - idx - 1:
-                res = dfs(idx + 1, max_used if c <= max_used else c)
-                if res is not None:
-                    return res
-            for w in nbrs[v]:
-                row = cnt[w]
-                row[c] -= 1
-                if row[c] == 0:
-                    nbc[w] &= ~cbit
-                un[w] += 1
-            class_mask[c] &= ~vbit
-            if class_mask[c] == 0:
-                used[0] -= 1
-            color[v] = 0
-        return None
-
-    return dfs(0, 0)
+                    slack[w] -= 1
+                    if slack[w] < 0:
+                        hold[w] = 0
+                if star and color[w]:
+                    missing = ((1 << color[w]) - 2) & ~nbc[w]
+                    if missing.bit_count() > un[w]:
+                        ok = False
+            if ok and k - used <= n - len(stack):
+                if c > max_used:
+                    max_used = c
+                break
+        else:
+            explored_box[0] += explored
+            return None
 
 
 def _find_b(g: Graph, k: int, explored_box):

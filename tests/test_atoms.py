@@ -22,6 +22,7 @@ from zcoloring import (
     is_colored_isomorphic,
     phase1_generate,
     prove_upper_bound,
+    z_reaches,
 )
 from zcoloring.atoms import embedding_valid
 from zcoloring.graphs import serialize_colored_graph
@@ -273,6 +274,24 @@ def test_embed_leaves_no_reference_cycles(d4_triangle_free_catalog):
     finally:
         gc.enable()
     assert any(emb is None for emb in found) and any(emb is not None for emb in found)
+
+
+def test_atom_generation_leaves_no_reference_cycles(d4_triangle_free_catalog):
+    # atom generation (heuristics, canonical certificates, the z oracle under
+    # z_reaches) and the exact z oracle free everything by reference counting
+    import gc
+
+    hosts = [a.cg.graph for a in d4_triangle_free_catalog.atoms[:6]]
+    gc.collect()
+    gc.disable()
+    try:
+        generate_atoms(3)
+        for g in hosts:
+            assert z_reaches(g, 4)
+            assert exact_z(g, limit_n=20).value >= 4
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_prove_upper_bound_star_graph(d3_catalog):

@@ -227,6 +227,15 @@ def test_exact_z_p5(p5_file, capsys):
     assert "= 3" in capsys.readouterr().out
 
 
+def test_exact_table_names_the_explored_unit(p5_file, capsys):
+    # gamma's recursion counts subsets solved, the searches count nodes
+    assert main(["exact", p5_file, "--param", "gamma"]) == 0
+    assert " subsets, " in capsys.readouterr().out
+    assert main(["exact", p5_file, "--param", "b"]) == 0
+    out = capsys.readouterr().out
+    assert " nodes, " in out and "subsets" not in out
+
+
 def test_exact_record_round_trips(p5_file, capsys):
     assert main(["exact", p5_file, "--param", "chi", "--format", "record"]) == 0
     out = capsys.readouterr().out
@@ -279,12 +288,19 @@ def test_exact_rejects_oversized_problem_line_before_building(tmp_path, monkeypa
 def test_exact_deep_search_exits_2(tmp_path, capsys):
     path = tmp_path / "path2000.col"
     path.write_text(to_dimacs(path_graph(2000)))
-    assert main(["exact", str(path), "--param", "b", "--limit", "3000"]) == 2
+    # chi's branch and bound recurses once per vertex; a triangle beside the
+    # path keeps its greedy bound at 3, so it must search for 2 colours
+    deep = tmp_path / "path2000_triangle.col"
+    edges = [(i, i + 1) for i in range(1999)] + [(2000, 2001), (2001, 2002), (2000, 2002)]
+    deep.write_text(to_dimacs(Graph.from_edges(2003, edges)))
+    assert main(["exact", str(deep), "--param", "chi", "--limit", "3000"]) == 2
     err = capsys.readouterr().err
     assert "too deep" in err and len(err.splitlines()) == 1
-    # the gamma recursion is at most Gamma deep
-    assert main(["exact", str(path), "--param", "gamma", "--limit", "3000"]) == 0
-    assert " = 3 " in capsys.readouterr().out
+    # the b and z searches keep their frames on an explicit stack, and the
+    # gamma recursion is at most Gamma deep
+    for param in ("b", "z", "gamma"):
+        assert main(["exact", str(path), "--param", param, "--limit", "3000"]) == 0
+        assert " = 3 " in capsys.readouterr().out
     path = tmp_path / "path900.col"
     path.write_text(to_dimacs(path_graph(900)))
     assert main(["exact", str(path), "--param", "gamma", "--limit", "900"]) == 0

@@ -5,6 +5,7 @@ on every small graph."""
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from zcoloring import (
     Coloring,
     Graph,
     SizeLimitError,
+    catalog_from_text,
     check_cd,
     check_grundy,
     check_proper,
@@ -32,6 +34,8 @@ from zcoloring import (
     z_reaches,
 )
 from zcoloring.randgraphs import gnp
+
+CATALOGS = Path(__file__).resolve().parent.parent / "catalogs"
 
 
 def naive_params(g):
@@ -265,6 +269,18 @@ def test_oracle_search_tree_pinned():
               gen_Ht(3), gen_Ft(4)]
     totals = tuple(sum(oracle(g).explored for g in hosts) for oracle in (exact_gamma, exact_b, exact_z))
     assert totals == (808, 980, 2178)
+
+
+def test_oracle_search_tree_pinned_at_atom_scale():
+    # the golden hosts have at most 9 vertices; the atoms of the checked-in
+    # t=4 catalogs have up to 14, the trees `atoms gen` searches
+    totals = []
+    for name in ("d4_trianglefree", "d4_full"):
+        catalog = catalog_from_text((CATALOGS / f"{name}.catalog").read_text(encoding="ascii"))
+        hosts = [a.cg.graph for a in catalog.atoms]
+        totals.append(tuple(sum(oracle(g, limit_n=20).explored for g in hosts)
+                            for oracle in (exact_b, exact_z)))
+    assert totals == [(689, 1645), (1313, 3033)]
 
 
 def _independent_partitions(g):
