@@ -33,7 +33,6 @@ from .reduce import (
     cd_gcd_transform,
     complementary,
     greedy_coloring,
-    grundy_reduce,
     iterated_z,
     z_heuristic,
 )
@@ -61,14 +60,11 @@ def _write_text(path: str, text: str) -> None:
 
 def run_heuristic(g: Graph, name: str, rounds: int, seed: int):
     """Dispatch a heuristic by name; returns (coloring, required verification level)."""
-    if name == "greedy":
+    # first-fit output is Grundy already, so `grundy` is `greedy`
+    if name in ("greedy", "grundy"):
         return greedy_coloring(g), "grundy"
-    if name == "grundy":
-        c, _ = grundy_reduce(g, greedy_coloring(g))
-        return c, "grundy"
     if name == "gcd":
-        c, _ = grundy_reduce(g, greedy_coloring(g))
-        c, _ = cd_gcd_transform(g, c)
+        c, _ = cd_gcd_transform(g, greedy_coloring(g))
         return c, "cd"
     if name == "z":
         c, _ = z_heuristic(g)
@@ -234,7 +230,8 @@ def cmd_bench(args) -> int:
             try:
                 c, level = run_heuristic(g, h, args.rounds, args.seed)
                 cells[h] = str(c.k) if _verify_output(g, c, level)[0] else "error"
-            except Exception:
+            except RuntimeError:
+                # the round guard of z_transform, as in `color`
                 cells[h] = "error"
             times[h] = time.perf_counter() - start
         rows.append((name, g, cells, times))

@@ -290,6 +290,8 @@ def parse_coloring_record(text: str) -> ColoredGraph:
             parts = _record_ints(rest.split(), "class", lineno)
             if not parts:
                 raise RecordError(f"line {lineno}: malformed class line")
+            if parts[0] in classes:
+                raise RecordError(f"line {lineno}: duplicate class {parts[0]}")
             classes[parts[0]] = (lineno, parts[1:])
         elif key in ("n", "edges", "k", "colors", "star"):
             if key in fields:
@@ -333,6 +335,8 @@ def parse_coloring_record(text: str) -> ColoredGraph:
     if c.k != k:
         raise RecordError(f"line {k_line}: k does not match colors")
     for j, (lineno, cls) in classes.items():
+        if not 1 <= j <= k:
+            raise RecordError(f"line {lineno}: class {j} out of range 1..{k}")
         if cls != [v for v in range(n) if colors[v] == j]:
             raise RecordError(f"line {lineno}: class {j} inconsistent with colors")
     star = None

@@ -21,11 +21,12 @@ one loop over an explicit stack of frames, so its depth is bounded by memory
 rather than the recursion limit.  It assigns vertices most-saturated-first
 with properness pruning, and the z search additionally prunes any vertex
 whose missing lower colors exceed its unassigned neighbors.  Per vertex it
-keeps the neighbour color counts, a slack (how far the vertex is from no
-longer being able to become color-dominating), the colors it may still hold
-as a dominating vertex, and its selection key, all updated in O(deg v) when
-v is assigned or unassigned, so a node's cuts and pick read those arrays
-instead of recomputing them from the neighbourhoods.
+keeps the neighbour color counts and their mask (which decides properness),
+a slack (how far the vertex is from no longer being able to become
+color-dominating), the colors it may still hold as a dominating vertex, and
+its selection key, all updated in O(deg v) when v is assigned or
+unassigned, so a node's cuts and pick read those arrays instead of
+recomputing them from the neighbourhoods.
 The gamma oracle runs no search: a memoized recursion over maximal
 independent sets (`_grundy_coloring`) yields the value and, by peeling the
 recorded best set of each subset, a witness with that many classes.
@@ -115,7 +116,8 @@ def _search(g: Graph, k: int, star: bool, explored_box):
     by memory, not by the recursion limit.  Per vertex u the engine keeps,
     updated in O(deg v) when v is assigned or unassigned:
       `cnt[u][c]`  neighbours of u with color c, and `nbc[u]` the mask of
-                   colors present among them (bit c = color c);
+                   colors present among them (bit c = color c), so an
+                   uncolored u may take c exactly when bit c is clear;
       `un[u]`      uncolored neighbours;
       `slack[u]`   colors seen + uncolored neighbours - (k-1): u may still
                    become color-dominating while it is >= 0, and it drops
@@ -126,6 +128,8 @@ def _search(g: Graph, k: int, star: bool, explored_box):
       `key[u]`     seen*n^2 + deg*n + (n-1-u) while uncolored, -1 once
                    colored: the largest is the most saturated vertex, with
                    degree then lower index as deterministic tie-breaks.
+    Per color c it keeps the class size `size[c]`; `used` counts the
+    nonempty classes.
 
     Without `star` the colors are interchangeable, so a vertex takes at most
     one color not used yet.  With `star` (z mode) the colors are ordered:
@@ -147,13 +151,12 @@ def _search(g: Graph, k: int, star: bool, explored_box):
     """
     n = g.n
     n2 = n * n
-    adjm = g.adjacency_masks()
-    nbrs = [list(a) for a in g.adj]
+    nbrs = g.adj
     required = (1 << (k + 1)) - 2
     kbit = 1 << k
     below = kbit - 2
     color = [0] * n
-    class_mask = [0] * (k + 1)
+    size = [0] * (k + 1)
     cnt = [[0] * (k + 1) for _ in range(n)]
     nbc = [0] * n
     un = [len(a) for a in nbrs]
@@ -209,16 +212,16 @@ def _search(g: Graph, k: int, star: bool, explored_box):
                         slack[w] += 1
                         if slack[w] == 0:
                             hold[w] = 1 << color[w] if color[w] else required & ~nbc[w]
-                class_mask[c] &= ~(1 << v)
-                if not class_mask[c]:
+                size[c] -= 1
+                if not size[c]:
                     used -= 1
                 color[v] = 0
                 key[v] = nbc[v].bit_count() * n2 + base[v]
                 if slack[v] >= 0:
                     hold[v] = required & ~nbc[v]
-            av = adjm[v]
+            seen = nbc[v]
             c += 1
-            while c <= top and av & class_mask[c]:
+            while c <= top and seen >> c & 1:
                 c += 1
             if c > top:
                 stack.pop()
@@ -228,9 +231,9 @@ def _search(g: Graph, k: int, star: bool, explored_box):
             cbit = 1 << c
             color[v] = c
             key[v] = -1
-            if not class_mask[c]:
+            if not size[c]:
                 used += 1
-            class_mask[c] |= 1 << v
+            size[c] += 1
             if slack[v] >= 0:
                 hold[v] = cbit
             ok = not star or ((cbit - 2) & ~nbc[v]).bit_count() <= un[v]
@@ -454,13 +457,12 @@ def exact_z(g: Graph, limit_n: int = 14) -> OracleResult:
 def find_z_coloring(g: Graph, k: int) -> Coloring | None:
     """Exact decision: some z-coloring with exactly k colors, or None.
 
-    A k with no b-coloring is refuted by the b search alone."""
+    A k with no b-coloring is refuted by the b search alone.  At k = 1 the
+    search finds the all-ones coloring exactly when g is edgeless and
+    nonempty."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return Coloring((1,) * g.n) if g.m == 0 and g.n else None
-    explored = [0]
-    found = _find_z(g, k, explored)
+    found = _find_z(g, k, [0])
     return Coloring(tuple(found)) if found is not None else None
 
 
@@ -475,11 +477,4 @@ def z_reaches(g: Graph, t: int) -> bool:
     """
     if t <= 1:
         return g.n >= t
-    if g.n == 0:
-        return False
-    top = star_degree_bound(g)
-    explored = [0]
-    for k in range(t, top + 1):
-        if _find_z(g, k, explored) is not None:
-            return True
-    return False
+    return any(find_z_coloring(g, k) is not None for k in range(t, star_degree_bound(g) + 1))

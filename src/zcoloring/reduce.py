@@ -18,10 +18,10 @@ what the stage before it has just built.  Where the checks run:
   input on it: length and properness always, the Grundy property for
   `cd_gcd_transform` and `z_transform`, color-domination for `z_transform`.
   Then it runs its private body (`_grundy`, `_cd`, `_z`) on that table;
-- `z_heuristic` runs `_cd` on a table built from the greedy coloring, which
-  is Grundy already (first-fit gives every vertex the least color its
-  earlier neighbours miss), then calls the public `z_transform`, whose entry
-  check is therefore the one from-scratch check of its input;
+- `z_heuristic` runs the public `cd_gcd_transform` on the greedy coloring,
+  which is Grundy already (first-fit gives every vertex the least color its
+  earlier neighbours miss, so `grundy_reduce` would move nothing), then the
+  public `z_transform`: each stage runs once, through its entry check;
 - inside each z round the properness and Grundy checks that precede `_grundy`
   and `_cd` are read off the table in O(n), with the same ValueError;
 - callers that publish a coloring (the CLI) verify it independently with
@@ -271,11 +271,9 @@ def z_heuristic(g: Graph, seed_order=None) -> tuple[Coloring, ReductionTrace]:
     color-dominating and z refinements; the greedy coloring is Grundy, so
     the Grundy stage would move nothing.  Output passes check_z and uses at
     most max_degree+1 colors."""
-    table = _ColorCounts(g, greedy_coloring(g, seed_order).colors)
-    moves = []
-    _cd(table, moves)
-    c, tr3 = z_transform(g, Coloring(tuple(table.colors)))
-    return c, ReductionTrace(moves + tr3.moves, tr3.iterations)
+    c, tr2 = cd_gcd_transform(g, greedy_coloring(g, seed_order))
+    c, tr3 = z_transform(g, c)
+    return c, ReductionTrace(tr2.moves + tr3.moves, tr3.iterations)
 
 
 def complementary(g: Graph, c: Coloring, budget: int = 1000, rng_seed: int = 0) -> Coloring:

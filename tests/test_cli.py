@@ -222,6 +222,15 @@ def test_verify_wrong_graph_is_usage_error(tmp_path):
     assert main(["verify", str(graph), str(rec)]) == 2
 
 
+def test_verify_bad_class_line_is_parse_error(tmp_path, capsys):
+    graph = tmp_path / "k2.col"
+    graph.write_text(to_dimacs(complete_graph(2)))
+    rec = tmp_path / "k2.rec"
+    rec.write_text(serialize_coloring(complete_graph(2), Coloring((1, 2))) + "class 1 0\n")
+    assert main(["verify", str(graph), str(rec)]) == 2
+    assert capsys.readouterr().err == "parse error: line 7: duplicate class 1\n"
+
+
 def test_exact_z_p5(p5_file, capsys):
     assert main(["exact", p5_file, "--param", "z"]) == 0
     assert "= 3" in capsys.readouterr().out
@@ -457,6 +466,13 @@ def test_bench_random_and_iz(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     counts = {row[1]: int(row[2]) for row in rows}
     assert counts["iz"] <= counts["z"]
+
+
+def test_bench_bad_rounds_is_usage_error(capsys):
+    # only the round guard's RuntimeError becomes an `error` cell
+    assert main(["bench", "--random", "8,0.5,1", "--heuristics", "iz", "--rounds", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "rounds must be >= 1\n"
 
 
 def test_bench_empty_instance_list(capsys):

@@ -254,3 +254,14 @@ def test_record_checks_colors_length_before_building(monkeypatch):
     assert built == []
     assert parse_coloring_record("n 2\nedges 0-1\nk 2\ncolors 1 2\n").graph.m == 1
     assert built == [2]
+
+
+@pytest.mark.parametrize("record, line, message", [
+    ("n 2\nedges 0-1\nk 2\ncolors 1 2\nclass 1 0\nclass 1 0\n", 6, "duplicate class 1"),
+    ("n 2\nedges 0-1\nk 2\ncolors 1 2\nclass 7\n", 5, "class 7 out of range 1..2"),
+    ("n 2\nedges 0-1\nk 2\ncolors 1 2\nclass 0\n", 5, "class 0 out of range 1..2"),
+    ("n 2\nedges 0-1\nk 2\ncolors 1 2\nclass -3\n", 5, "class -3 out of range 1..2"),
+])
+def test_record_rejects_bad_class_lines(record, line, message):
+    with pytest.raises(RecordError, match=f"line {line}: {message}"):
+        parse_coloring_record(record)

@@ -464,3 +464,20 @@ def test_z_pinned_where_star_cut_fires(n, p, seed, digest, parent_nodes, most):
     assert res.value == 5
     assert hashlib.sha256(repr(res.witness.colors).encode()).hexdigest() == digest
     assert res.explored < most < parent_nodes
+
+
+def test_b_and_z_searches_read_no_adjacency_masks(monkeypatch):
+    # properness comes from the neighbour-colour masks the search keeps
+    def refuse(self):
+        raise AssertionError("the b/z search built adjacency masks")
+
+    monkeypatch.setattr(Graph, "adjacency_masks", refuse)
+    rng = random.Random(47)
+    for g in [gnp(rng.randint(1, 9), rng.choice([0.3, 0.6]), rng) for _ in range(20)] + [
+            path_graph(5), complete_graph(4), Graph.from_edges(3, []), Graph.from_edges(0, [])]:
+        b, z = exact_b(g), exact_z(g)
+        assert check_cd(g, b.witness).passed and check_z(g, z.witness).passed
+        assert z_reaches(g, z.value) and not z_reaches(g, z.value + 1)
+        assert find_z_coloring(g, z.value + 1) is None
+        if g.n:
+            assert find_z_coloring(g, z.value) == z.witness

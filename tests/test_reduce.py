@@ -515,3 +515,31 @@ def test_reduce_stages_match_set_based_reference():
         assert _same_as_reference(cd_gcd_transform, ref_cd_gcd_transform, g, greedy_coloring(g, order))
 
     check()
+
+
+def test_grundy_reduce_is_first_fit_along_the_input_classes():
+    # a vertex of input class s moves to the least color its neighbours in
+    # the (already reduced) lower classes miss: first-fit in (color, vertex)
+    # order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        g = draw(small_graphs(st, 9))
+        # a proper coloring with colors in 1..n, usually with gaps
+        colors = draw(st.lists(st.integers(1, max(g.n, 1)), min_size=g.n, max_size=g.n))
+        for v in range(g.n):
+            taken = {colors[w] for w in g.adj[v] if w < v}
+            if colors[v] in taken:
+                colors[v] = draw(st.sampled_from([c for c in range(1, g.n + 1) if c not in taken]))
+        return g, Coloring(tuple(colors))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, c = case
+        reduced, _ = grundy_reduce(g, c)
+        assert reduced == greedy_coloring(g, sorted(range(g.n), key=lambda v: (c.colors[v], v)))
+
+    check()
