@@ -150,10 +150,6 @@ def cmd_exact(args) -> int:
     except SizeLimitError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except RecursionError:
-        print(f"exact {args.param}: the search on {g.n} vertices is too deep for the recursion limit",
-              file=sys.stderr)
-        return 2
     elapsed = time.perf_counter() - start
     if args.format == "record":
         sys.stdout.write(f"param {args.param}\nvalue {result.value}\n")

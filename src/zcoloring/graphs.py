@@ -334,10 +334,15 @@ def parse_coloring_record(text: str) -> ColoredGraph:
     k_line, k = single("k")
     if c.k != k:
         raise RecordError(f"line {k_line}: k does not match colors")
+    # grouped by one pass over colors; a dict, not Coloring.classes(), whose
+    # list of k lists a huge color value would make unbounded
+    members = {}
+    for v, j in enumerate(colors):
+        members.setdefault(j, []).append(v)
     for j, (lineno, cls) in classes.items():
         if not 1 <= j <= k:
             raise RecordError(f"line {lineno}: class {j} out of range 1..{k}")
-        if cls != [v for v in range(n) if colors[v] == j]:
+        if cls != members.get(j, []):
             raise RecordError(f"line {lineno}: class {j} inconsistent with colors")
     star = None
     if "star" in fields:

@@ -27,9 +27,14 @@ color-dominating), the colors it may still hold as a dominating vertex, and
 its selection key, all updated in O(deg v) when v is assigned or
 unassigned, so a node's cuts and pick read those arrays instead of
 recomputing them from the neighbourhoods.
+The chi oracle probes target counts upward with the b search, from the size
+of a greedily grown clique, and stops at the first that admits a coloring:
+every coloring with chi colors is a b-coloring, so that target is chi.
 The gamma oracle runs no search: a memoized recursion over maximal
-independent sets (`_grundy_coloring`) yields the value and, by peeling the
-recorded best set of each subset, a witness with that many classes.
+independent sets (`_grundy_coloring`), kept on an explicit stack, yields the
+value and, by peeling the recorded best set of each subset, a witness with
+that many classes.  No oracle recurses, so none is bounded by the recursion
+limit.
 
 Class-witness pruning: a b- or z-coloring with k colors has a
 color-dominating vertex (one that sees the k-1 other colors) in every class.
@@ -51,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Coloring, Graph
-from .reduce import greedy_coloring
 
 
 class SizeLimitError(ValueError):
@@ -61,9 +65,9 @@ class SizeLimitError(ValueError):
 @dataclass
 class OracleResult:
     """An oracle's value, a witness coloring with exactly `value` colors, and
-    `explored`, a count of the oracle's work: branch-and-bound nodes for chi,
-    subsets solved by the recursion for gamma, search nodes for b, and the
-    b-probe nodes plus the z-search nodes for z."""
+    `explored`, a count of the oracle's work: b-search nodes over the probes
+    for chi, subsets solved by the recursion for gamma, search nodes for b,
+    and the b-probe nodes plus the z-search nodes for z."""
 
     value: int
     witness: Coloring
@@ -321,7 +325,8 @@ def _grundy_coloring(g: Graph, explored_box) -> list[int]:
     other classes, shifted down by one, form a Grundy coloring of G - I;
     conversely any such pair is one.  So Gamma(G[S]) = 1 + max over maximal
     independent sets I of G[S] of Gamma(G[S - I]), with Gamma(empty) = 0.
-    Values are memoized by vertex mask; recursion depth stays <= Gamma.
+    Values are memoized by vertex mask, and the subsets being solved at once
+    form a chain at most Gamma long, kept on an explicit stack.
     Gamma(H) <= Delta(H) + 1 cuts twice: a subset stops once its best reaches
     that bound, and a child whose bound cannot beat the best is skipped.
     Each solved subset records the set I that gave its best value, and the
@@ -346,28 +351,44 @@ def _grundy_coloring(g: Graph, explored_box) -> list[int]:
                 top = d
         return top + 1
 
-    def solve(s: int, top: int) -> int:
-        explored_box[0] += 1
-        best = 0
-        for mis in _maximal_independent_sets(closed, s):
-            rest = s & ~mis
-            val = memo.get(rest)
-            if val is None:
-                rest_top = bound(rest)
-                if rest_top < best:
-                    continue
-                val = solve(rest, rest_top)
-            if val + 1 > best:
-                best = val + 1
-                pick[s] = mis
-                if best >= top:
-                    break
-        memo[s] = best
-        return best
-
+    # solve(s) on an explicit stack of frames [s, top, best, the maximal
+    # independent sets of G[s] still to try, the set whose remainder is being
+    # solved]: a frame whose remainder is unsolved pushes it and resumes once
+    # it is memoized, so the order of solved subsets is that of the recursion
     s = (1 << g.n) - 1
+    stack = []
     if s:
-        solve(s, bound(s))
+        explored_box[0] += 1
+        stack.append([s, bound(s), 0, _maximal_independent_sets(closed, s), 0])
+    while stack:
+        frame = stack[-1]
+        sub, top, best, sets, mis = frame
+        if mis:
+            val = memo[sub & ~mis]
+            if val >= best:
+                best = val + 1
+                pick[sub] = mis
+        if best < top:
+            for mis in sets:
+                rest = sub & ~mis
+                val = memo.get(rest)
+                if val is None:
+                    rest_top = bound(rest)
+                    if rest_top < best:
+                        continue
+                    frame[2], frame[4] = best, mis
+                    explored_box[0] += 1
+                    stack.append([rest, rest_top, 0, _maximal_independent_sets(closed, rest), 0])
+                    break
+                if val >= best:
+                    best = val + 1
+                    pick[sub] = mis
+                    if best >= top:
+                        break
+        if stack[-1] is frame:
+            memo[sub] = best
+            stack.pop()
+
     color = [0] * g.n
     j = 0
     while s:
@@ -393,43 +414,39 @@ def _maximize(g: Graph, start_k: int, finder) -> OracleResult:
     return OracleResult(1 if g.n else 0, Coloring((1,) * g.n), explored[0])
 
 
-def exact_chi(g: Graph, limit_n: int = 12) -> OracleResult:
-    """Minimum colors of any proper coloring, by branch and bound with the
-    first vertex pinned to color 1 and colors introduced in order."""
-    check_limit(g.n, limit_n, "exact_chi")
-    n = g.n
-    if n == 0:
-        return OracleResult(0, Coloring(()), 0)
+def _greedy_clique(g: Graph) -> int:
+    """Size of the largest clique grown from some vertex by repeatedly taking
+    the lowest neighbour common to the clique so far; a lower bound on chi,
+    and 0 for the empty graph."""
     adjm = g.adjacency_masks()
-    order = sorted(range(n), key=lambda v: (-len(g.adj[v]), v))
-    greedy = greedy_coloring(g, order)
-    best = [greedy.k, list(greedy.colors)]
-    color = [0] * n
-    class_mask = [0] * (n + 2)
+    best = 0
+    for cand in adjm:
+        size = 1
+        while cand:
+            cand &= adjm[(cand & -cand).bit_length() - 1]
+            size += 1
+        best = max(best, size)
+    return best
+
+
+def exact_chi(g: Graph, limit_n: int = 12) -> OracleResult:
+    """Minimum colors of any proper coloring: the least k that admits a
+    b-coloring, probed upward by the b search from the greedy clique size.
+
+    A coloring with chi colors is a b-coloring: were some class without a
+    color-dominating vertex, each of its vertices would miss some other color,
+    and as the class is independent all of them could move there at once,
+    saving a color (Irving and Manlove 1999).  Below chi no proper coloring
+    exists at all, so the first k the b search answers is chi, and its
+    coloring, a b-coloring, is the witness."""
+    check_limit(g.n, limit_n, "exact_chi")
     explored = [0]
-
-    def dfs(idx: int, used: int) -> None:
-        explored[0] += 1
-        if used >= best[0]:
-            return
-        if idx == n:
-            best[0] = used
-            best[1] = color[:]
-            return
-        v = order[idx]
-        av = adjm[v]
-        vbit = 1 << v
-        for c in range(1, min(used + 1, best[0] - 1) + 1):
-            if av & class_mask[c]:
-                continue
-            color[v] = c
-            class_mask[c] |= vbit
-            dfs(idx + 1, max(used, c))
-            class_mask[c] &= ~vbit
-            color[v] = 0
-
-    dfs(0, 0)
-    return OracleResult(best[0], Coloring(tuple(best[1])), explored[0])
+    k = _greedy_clique(g)
+    while True:
+        found = _find_b(g, k, explored)
+        if found is not None:
+            return OracleResult(k, Coloring(tuple(found)), explored[0])
+        k += 1
 
 
 def exact_gamma(g: Graph, limit_n: int = 12) -> OracleResult:
@@ -457,11 +474,14 @@ def exact_z(g: Graph, limit_n: int = 14) -> OracleResult:
 def find_z_coloring(g: Graph, k: int) -> Coloring | None:
     """Exact decision: some z-coloring with exactly k colors, or None.
 
-    A k with no b-coloring is refuted by the b search alone.  At k = 1 the
-    search finds the all-ones coloring exactly when g is edgeless and
+    A k above `star_degree_bound(g)` is refuted before the search sizes its
+    tables by k, and a k with no b-coloring by the b search alone.  At k = 1
+    the search finds the all-ones coloring exactly when g is edgeless and
     nonempty."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > star_degree_bound(g):
+        return None
     found = _find_z(g, k, [0])
     return Coloring(tuple(found)) if found is not None else None
 
@@ -477,4 +497,4 @@ def z_reaches(g: Graph, t: int) -> bool:
     """
     if t <= 1:
         return g.n >= t
-    return any(find_z_coloring(g, k) is not None for k in range(t, star_degree_bound(g) + 1))
+    return any(_find_z(g, k, [0]) is not None for k in range(t, star_degree_bound(g) + 1))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -265,3 +266,16 @@ def test_record_checks_colors_length_before_building(monkeypatch):
 def test_record_rejects_bad_class_lines(record, line, message):
     with pytest.raises(RecordError, match=f"line {line}: {message}"):
         parse_coloring_record(record)
+
+
+def test_record_class_lines_checked_in_linear_time():
+    # each class line is compared with the classes grouped in one pass over
+    # colors, not with a fresh scan of all n colors
+    n, k = 20_000, 2_000
+    c = Coloring(tuple(v % k + 1 for v in range(n)))
+    text = serialize_coloring(Graph.from_edges(n, []), c)
+    start = time.perf_counter()
+    assert parse_coloring_record(text).coloring == c
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(RecordError, match=f"line {4 + k}: class {k} inconsistent with colors"):
+        parse_coloring_record(text.replace(f"class {k} {k - 1} ", f"class {k} "))

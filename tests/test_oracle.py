@@ -3,8 +3,11 @@ colorings with the verify-module predicates; the oracles must agree with it
 on every small graph."""
 
 import hashlib
+import inspect
 import itertools
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -137,6 +140,7 @@ def test_witnesses_pass_their_predicates():
         g = gnp(rng.randint(1, 8), 0.5, rng)
         chi = exact_chi(g)
         assert check_proper(g, chi.witness).passed and chi.witness.k == chi.value
+        assert check_cd(g, chi.witness).passed
         gamma = exact_gamma(g)
         assert check_grundy(g, gamma.witness).passed and gamma.witness.k == gamma.value
         b = exact_b(g)
@@ -145,6 +149,54 @@ def test_witnesses_pass_their_predicates():
         assert check_z(g, zz.witness).passed and zz.witness.k == zz.value
         for res in (chi, gamma, b, zz):
             assert res.witness.is_normalized()
+
+
+def test_chi_matches_fewest_independent_blocks():
+    # chi is the fewest blocks of a partition into independent sets; the
+    # witness, found by the b search, is a b-coloring as well
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(small_graphs(st, 8))
+    def check(g):
+        res = exact_chi(g)
+        assert res.value == min(len(blocks) for blocks in _independent_partitions(g)), g.edges()
+        assert res.witness.k == res.value and check_proper(g, res.witness).passed
+        assert check_cd(g, res.witness).passed
+
+    check()
+
+
+def test_exact_chi_runs_no_heuristic(monkeypatch):
+    # chi comes from the b search alone, not from a greedy incumbent
+    from zcoloring import oracle, reduce
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact_chi called greedy_coloring")
+
+    for module in (reduce, oracle):
+        monkeypatch.setattr(module, "greedy_coloring", refuse, raising=False)
+    rng = random.Random(44)
+    hosts = [gnp(rng.randint(1, 9), rng.choice([0.3, 0.6]), rng) for _ in range(20)]
+    for g in hosts + [gen_Ht(3), complete_graph(5), cycle_graph(5), Graph.from_edges(0, [])]:
+        res = exact_chi(g)
+        assert res.witness.k == res.value and check_proper(g, res.witness).passed
+
+
+def test_exact_oracles_do_not_recurse():
+    # chi and gamma on K_300 need 300 colours; neither keeps a Python frame
+    # per colour or per vertex, so a recursion limit just above the current
+    # depth is enough
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        g = complete_graph(300)
+        for oracle in (exact_chi, exact_gamma):
+            res = oracle(g, limit_n=300)
+            assert res.value == 300 and res.witness.colors == tuple(range(1, 301))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_ordering_chain():
@@ -170,6 +222,17 @@ def test_size_limits():
 def test_explored_counts_accumulate():
     res = exact_z(path_graph(5))
     assert res.explored > 0
+
+
+def test_find_z_coloring_bounds_allocation_by_the_star_degree():
+    # a k above star_degree_bound is refuted before any table is sized by k
+    tracemalloc.start()
+    try:
+        assert find_z_coloring(path_graph(5), 10**6) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_find_z_coloring_exact_decision():
