@@ -8,11 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import ColoredGraph, Coloring, Graph
-
-MAX_ORDER = 1 << 20
-"""Largest vertex count (edge count for K_{t,t} minus a matching) that the
-family constructors will build."""
+from .graphs import MAX_ORDER, ColoredGraph, Coloring, Graph
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+MAX_ORDER = 1 << 20
+"""Largest vertex count that a DIMACS problem line may state and the family
+constructors will build (for K_{t,t} minus a matching, the edge count)."""
+
 
 class DimacsError(ValueError):
     """Malformed DIMACS input; the message names the offending line."""
@@ -180,7 +184,8 @@ def parse_dimacs(text, check_n=None) -> Graph:
 
     `check_n`, if given, is called with the problem line's vertex count as
     soon as that line is read; it may raise to reject a graph too large for
-    the caller before any per-vertex storage is allocated.
+    the caller before any per-vertex storage is allocated.  A count above
+    MAX_ORDER is then rejected for every caller.
     """
     return read_dimacs(text, check_n)[0]
 
@@ -213,6 +218,8 @@ def read_dimacs(text, check_n=None) -> tuple[Graph, list[str]]:
                 raise DimacsError(f"line {lineno}: negative vertex count")
             if check_n is not None:
                 check_n(n)
+            if n > MAX_ORDER:
+                raise DimacsError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_ORDER}")
         elif parts[0] == "e":
             if n is None:
                 raise DimacsError(f"line {lineno}: edge before problem line")

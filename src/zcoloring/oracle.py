@@ -132,20 +132,23 @@ def _search(g: Graph, k: int, star: bool, explored_box):
       `key[u]`     seen*n^2 + deg*n + (n-1-u) while uncolored, -1 once
                    colored: the largest is the most saturated vertex, with
                    degree then lower index as deterministic tie-breaks.
-    Per color c it keeps the class size `size[c]`; `used` counts the
-    nonempty classes.
 
     Without `star` the colors are interchangeable, so a vertex takes at most
     one color not used yet.  With `star` (z mode) the colors are ordered:
     a colored vertex is cut once its missing lower colors exceed its
-    uncolored neighbors.  A color is also cut once the classes still empty
-    outnumber the uncolored vertices.
+    uncolored neighbors.
 
     Every class must contain a color-dominating vertex, so a node is cut
     unless the OR of `hold` covers 1..k: every `hold` only shrinks deeper in
     the branch.  With `star` the node is also cut unless a dominating star
     can still form: some vertex that may still hold color k has
     neighbours that may still hold, between them, every color of 1..k-1.
+    A node that passes the cover test has at least as many uncolored
+    vertices as empty classes, and when the two are equal each empty color is
+    held by an uncolored vertex that sees every used color, so the most
+    saturated pick sees them all too and can only open a class: no
+    assignment leaves more empty classes than uncolored vertices, and the
+    engine keeps no class sizes.
 
     The same cuts decide a complete assignment.  There no vertex has an
     uncolored neighbour and none sees its own color, so "sees k-1 colors"
@@ -160,7 +163,6 @@ def _search(g: Graph, k: int, star: bool, explored_box):
     kbit = 1 << k
     below = kbit - 2
     color = [0] * n
-    size = [0] * (k + 1)
     cnt = [[0] * (k + 1) for _ in range(n)]
     nbc = [0] * n
     un = [len(a) for a in nbrs]
@@ -168,7 +170,6 @@ def _search(g: Graph, k: int, star: bool, explored_box):
     hold = [required if s >= 0 else 0 for s in slack]
     base = [d * n + n - 1 - u for u, d in enumerate(un)]
     key = base[:]
-    used = 0
     explored = 0
     stack = []
     max_used = 0
@@ -216,9 +217,6 @@ def _search(g: Graph, k: int, star: bool, explored_box):
                         slack[w] += 1
                         if slack[w] == 0:
                             hold[w] = 1 << color[w] if color[w] else required & ~nbc[w]
-                size[c] -= 1
-                if not size[c]:
-                    used -= 1
                 color[v] = 0
                 key[v] = nbc[v].bit_count() * n2 + base[v]
                 if slack[v] >= 0:
@@ -235,9 +233,6 @@ def _search(g: Graph, k: int, star: bool, explored_box):
             cbit = 1 << c
             color[v] = c
             key[v] = -1
-            if not size[c]:
-                used += 1
-            size[c] += 1
             if slack[v] >= 0:
                 hold[v] = cbit
             ok = not star or ((cbit - 2) & ~nbc[v]).bit_count() <= un[v]
@@ -258,7 +253,7 @@ def _search(g: Graph, k: int, star: bool, explored_box):
                     missing = ((1 << color[w]) - 2) & ~nbc[w]
                     if missing.bit_count() > un[w]:
                         ok = False
-            if ok and k - used <= n - len(stack):
+            if ok:
                 if c > max_used:
                     max_used = c
                 break

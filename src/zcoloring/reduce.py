@@ -10,14 +10,17 @@ build on the pipeline: `complementary` re-colors through single-vertex
 augmentations, and `iterated_z` re-runs the pipeline over permuted class
 orders keeping the best result.
 
-The three reduction stages read "which colors does v see" off one count
-table (`_ColorCounts`), updated in O(deg v) per move, so no stage rebuilds
-what the stage before it has just built.  Where the checks run:
+`grundy_reduce` is first-fit along its input's classes, so it needs no
+state of its own.  The other stages, and the Grundy scan inside each z
+round, read "which colors does v see" off one count table (`_ColorCounts`),
+updated in O(deg v) per move, so no stage rebuilds what the stage before it
+has just built.  Where the checks run:
 
-- each public stage builds a fresh table from its input and checks the
-  input on it: length and properness always, the Grundy property for
-  `cd_gcd_transform` and `z_transform`, color-domination for `z_transform`.
-  Then it runs its private body (`_grundy`, `_cd`, `_z`) on that table;
+- `grundy_reduce` checks length and properness with `verify.check_proper`;
+- `cd_gcd_transform` and `z_transform` build a fresh table from their input
+  and check the input on it: length, properness and the Grundy property,
+  and color-domination for `z_transform`.  Then they run their private body
+  (`_cd`, `_z`) on that table;
 - `z_heuristic` runs the public `cd_gcd_transform` on the greedy coloring,
   which is Grundy already (first-fit gives every vertex the least color its
   earlier neighbours miss, so `grundy_reduce` would move nothing), then the
@@ -36,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 
 from .graphs import Coloring, Graph
-from .verify import cd_flags, cd_witnesses, check_z, colors_seen, least_absent, neighbor_colors, star_from
+from .verify import cd_flags, cd_witnesses, check_proper, check_z, colors_seen, least_absent, neighbor_colors, star_from
 
 
 @dataclass
@@ -69,7 +72,7 @@ class _ColorCounts:
     and nbc[v] is verify.neighbor_colors of the current coloring (bit c set
     iff cnt[v][c] > 0).  Colors run 1..k; rows have k+1 entries, so the
     table holds n(k+1) counts: O(n + m) for a Grundy coloring, whose k is at
-    most max_degree+1, but more for a many-colored input to grundy_reduce."""
+    most max_degree+1."""
 
     def __init__(self, g: Graph, colors):
         if len(colors) != g.n:
@@ -126,22 +129,33 @@ def grundy_reduce(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
 
     Scans classes bottom-up; a vertex missing some lower color moves to the
     smallest such class, emptied classes are deleted and higher classes
-    renamed down.  Each vertex moves at most once.
+    renamed down.  Each vertex moves at most once.  Moves only go down into
+    classes already scanned, so the result is first-fit along the input's
+    (color, vertex) order, and it is computed that way: in O(n + m) time and
+    memory whatever the input's color values.
     """
-    # the scan deletes an empty input class above class 1 when it reaches it
-    # and does nothing else there, so those classes are dropped up front and
-    # the table has at most n+1 colors whatever the input's color values
-    rank = {col: r for r, col in enumerate(sorted({1, *c.colors}), start=1)}
-    table = _ColorCounts(g, [rank[col] for col in c.colors])
-    table.require_proper("grundy_reduce")
+    if not check_proper(g, c):
+        raise ValueError("grundy_reduce requires a proper coloring")
+    order = sorted(range(g.n), key=lambda v: (c.colors[v], v))
+    out = greedy_coloring(g, order).colors
     trace = ReductionTrace(iterations=max(c.k - 1, 0))
-    _grundy(table, trace.moves)
-    return Coloring(tuple(table.colors)), trace
+    # the scan names each input class above class 1 one more than the top
+    # color of the classes before it (at least 1: class 1 stays, even when
+    # empty), and a vertex moved exactly when first-fit put it below that name
+    name = last = top = 1
+    for v in order:
+        if c.colors[v] != last:
+            last, name = c.colors[v], top + 1
+        if out[v] < name:
+            trace.moves.append((v, name, out[v]))
+        top = max(top, out[v])
+    return Coloring(out), trace
 
 
 def _grundy(table: _ColorCounts, moves: list) -> None:
-    """grundy_reduce's scan, one iteration per class above class 1, on a
-    proper coloring in `table`; appends the moves."""
+    """The Grundy scan of a z round, on a proper coloring in `table`: classes
+    bottom-up, each vertex missing a lower color moved to the least such
+    one, emptied classes deleted; appends the moves."""
     colors, nbc = table.colors, table.nbc
     classes = [[] for _ in range(table.k)]
     for v, col in enumerate(colors):

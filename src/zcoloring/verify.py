@@ -254,13 +254,3 @@ def verify_star(g: Graph, c: Coloring, star: tuple[int, ...]) -> bool:
         return False
     cd = cd_flags(c.colors, _proper_masks(g, c, "verify_star"), k)
     return all(cd[u] for u in star) and all(g.has_edge(star[-1], u) for u in star[:-1])
-
-
-def verdict_record(v: Verdict) -> str:
-    """Serialize a verdict in the same line-oriented style as coloring records."""
-    lines = [f"passed {1 if v.passed else 0}"]
-    for viol in v.violations:
-        lines.append(f"violation {viol}")
-    if v.witness and "star" in v.witness:
-        lines.append("star " + " ".join(str(u) for u in v.witness["star"]))
-    return "\n".join(lines) + "\n"

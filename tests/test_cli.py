@@ -13,6 +13,7 @@ from zcoloring import (
 )
 from zcoloring import exact_gamma, reduce
 from zcoloring.cli import ORACLES, build_parser, main
+from zcoloring.graphs import MAX_ORDER
 
 
 @pytest.fixture
@@ -292,6 +293,25 @@ def test_exact_rejects_oversized_problem_line_before_building(tmp_path, monkeypa
     at_limit.write_text("p edge 20 0\n")
     assert main(["exact", str(at_limit), "--param", "z", "--limit", "20"]) == 0
     assert built == [20]
+
+
+def test_every_command_rejects_a_problem_line_above_the_vertex_cap(tmp_path, monkeypatch, capsys):
+    real = Graph.from_edges.__func__
+
+    def spy(cls, n, edges):
+        assert n <= MAX_ORDER, f"from_edges asked for {n} vertices"
+        return real(cls, n, edges)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(spy))
+    huge = tmp_path / "huge.col"
+    huge.write_text(f"c too many\np edge {MAX_ORDER + 1} 0\n")
+    unused = str(tmp_path / "unused")
+    for argv in (["color", str(huge)], ["verify", str(huge), unused],
+                 ["atoms", "bound", str(huge), "--t", "3", "--catalog", unused],
+                 ["bench", str(huge)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line 2: vertex count {MAX_ORDER + 1} exceeds the limit {MAX_ORDER}\n")
 
 
 def test_exact_deep_searches_answer(tmp_path, capsys):

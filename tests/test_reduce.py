@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -220,6 +221,21 @@ def test_grundy_reduce_huge_color_values():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"(2, 1, 2) [(2, 3, 2)] {10**15 - 1}\n"
+
+
+def test_grundy_reduce_memory_is_linear_in_n():
+    # the identity coloring of a long path has n colors; nothing may be sized
+    # by n * k
+    g = path_graph(2000)
+    c = Coloring(tuple(range(1, 2001)))
+    tracemalloc.start()
+    try:
+        out, trace = grundy_reduce(g, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.k == 2 and len(trace.moves) == 1998
+    assert peak < 2 << 20
 
 
 def test_color_counts_track_moves_and_deletions():

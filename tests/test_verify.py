@@ -20,7 +20,7 @@ from zcoloring import (
     verify_star,
 )
 from zcoloring.randgraphs import gnp
-from zcoloring.verify import check_level, find_dominating_star, verdict_record
+from zcoloring.verify import check_level, find_dominating_star
 
 
 C6 = cycle_graph(6)
@@ -217,15 +217,6 @@ def test_verdict_consistency_enforced():
         Verdict(True, [Violation("x")])
     with pytest.raises(ValueError):
         Verdict(False, [])
-
-
-def test_verdict_record_shape():
-    verdict = check_z(path_graph(5), Coloring((1, 2, 3, 1, 2)))
-    rec = verdict_record(verdict)
-    assert rec.startswith("passed 1\n")
-    assert "star" in rec
-    bad = verdict_record(check_proper(complete_graph(2), Coloring((1, 1))))
-    assert bad.startswith("passed 0\nviolation monochromatic-edge")
 
 
 def test_check_level_rejects_unknown_level():
