@@ -3,10 +3,19 @@
 Vertices are dense integers 0..n-1; DIMACS 1-indexing is converted at the
 parsing boundary.  Colors are 1-based everywhere, so a coloring with k colors
 uses the classes 1..k.
+
+Both boundaries work in bulk passes.  A DIMACS body of plain "e u v" lines is
+checked by one regular expression and converted by `split` and `map`; any
+other body, and any body the graph would reject, goes through a line-by-line
+reader, which is the error path and names the offending line.  Adjacency is
+built in lists, and the coloring record is joined from vertex names made once.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 MAX_ORDER = 1 << 20
@@ -42,15 +51,18 @@ class Graph:
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        nbrs = [set() for _ in range(n)]
+        nbrs = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if not (0 <= u < n and 0 <= v < n and u != v):
+                if u == v and 0 <= u < n:
+                    raise ValueError(f"self-loop at vertex {u}")
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for t in nbrs:
+            t.sort()
+        # sorted lists; a deduplicated tuple only where the set test finds a duplicate
+        return cls(n, tuple(tuple(t) if len(set(t)) == len(t) else tuple(sorted(set(t))) for t in nbrs))
 
     @property
     def m(self) -> int:
@@ -191,12 +203,62 @@ def parse_dimacs(text, check_n=None) -> Graph:
 
 
 def read_dimacs(text, check_n=None) -> tuple[Graph, list[str]]:
-    """Like parse_dimacs but also returns the comment lines encountered."""
+    """Like parse_dimacs but also returns the comment lines encountered.
+
+    The lines before the first line that starts "e " (the header: comments
+    and the problem line) go through the line reader.  A body that is all
+    "e u v" lines, one space apart and each but the last ending in a newline
+    (trailing whitespace is ignored), is then checked by one pattern and
+    converted in bulk.  Any other text, and a body whose indices are out
+    of range or form a self-loop, goes through the line reader from line 1,
+    which names the offending line.
+    """
     if isinstance(text, bytes):
         text = text.decode("ascii")
+    cut = text.find("\ne ") + 1  # just past a newline, so a line boundary
+    n, comments, edges = _read_lines(text[:cut], check_n)
+    if n is not None and not edges:
+        try:
+            return Graph.from_edges(n, itertools.chain.from_iterable(_edge_chunks(text, cut))), comments
+        except ValueError:
+            pass  # the line reader below names the line
+    n, comments, edges = _read_lines(text, check_n)
+    if n is None:
+        raise DimacsError("missing problem line")
+    return Graph.from_edges(n, edges), comments
+
+
+# the last line may end at the end of the text, without a newline
+_EDGE_LINES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*(?:e [0-9]+ [0-9]+)?")
+_CHUNK = 1 << 13
+_minus_one = (-1).__add__
+
+
+def _edge_chunks(text, start):
+    """The 0-indexed edges of the "e u v" lines from `start` on, up to the
+    trailing whitespace: one iterator of pairs per run of lines about _CHUNK
+    characters long, so the pattern's backtracking state and the tokens are
+    held for one run at a time.  Raises ValueError at the first run that
+    _EDGE_LINES rejects."""
+    stop = len(text)
+    while stop > start and text[stop - 1].isspace():
+        stop -= 1
+    while start < stop:
+        end = text.find("\n", start + _CHUNK, stop) + 1 or stop
+        if not _EDGE_LINES.fullmatch(text, start, end):
+            raise ValueError("not a body of plain edge lines")
+        tokens = text[start:end].split()
+        yield zip(map(_minus_one, map(int, tokens[1::3])), map(_minus_one, map(int, tokens[2::3])))
+        del tokens
+        start = end
+
+
+def _read_lines(text, check_n):
+    """The line reader: parse `text` line by line, numbered from 1, and
+    return the vertex count (None without a problem line), the comment
+    lines and the 0-indexed edges."""
     n = None
-    edges = []
-    comments = []
+    comments, edges = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -236,9 +298,7 @@ def read_dimacs(text, check_n=None) -> tuple[Graph, list[str]]:
             edges.append((u - 1, v - 1))
         else:
             raise DimacsError(f"line {lineno}: unrecognized line {line!r}")
-    if n is None:
-        raise DimacsError("missing problem line")
-    return Graph.from_edges(n, edges), comments
+    return n, comments, edges
 
 
 def to_dimacs(g: Graph) -> str:
@@ -261,14 +321,16 @@ def serialize_coloring(g: Graph, c: Coloring, star: tuple[int, ...] | None = Non
     """
     if c.n != g.n:
         raise ValueError("coloring size does not match graph")
-    lines = [f"n {g.n}"]
-    lines.append(("edges " + " ".join(f"{u}-{v}" for u, v in g.edges())).rstrip())
-    lines.append(f"k {c.k}")
-    lines.append(("colors " + " ".join(str(x) for x in c.colors)).rstrip())
+    names = list(map(str, range(g.n)))
+    edges = []
+    for u, nbrs in enumerate(g.adj):
+        # the neighbours past u, each edge named once from its lower end
+        edges.extend(map((names[u] + "-").__add__, map(names.__getitem__, nbrs[bisect_right(nbrs, u):])))
+    lines = [f"n {g.n}", " ".join(["edges", *edges]), f"k {c.k}", " ".join(["colors", *map(str, c.colors)])]
     for j, cls in enumerate(c.classes(), start=1):
-        lines.append(f"class {j} " + " ".join(str(v) for v in cls))
+        lines.append(f"class {j} " + " ".join(map(names.__getitem__, cls)))
     if star is not None:
-        lines.append("star " + " ".join(str(v) for v in star))
+        lines.append("star " + " ".join(map(str, star)))
     return "\n".join(lines) + "\n"
 
 

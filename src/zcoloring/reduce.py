@@ -17,10 +17,12 @@ updated in O(deg v) per move, so no stage rebuilds what the stage before it
 has just built.  Where the checks run:
 
 - `grundy_reduce` checks length and properness with `verify.check_proper`;
-- `cd_gcd_transform` and `z_transform` build a fresh table from their input
-  and check the input on it: length, properness and the Grundy property,
-  and color-domination for `z_transform`.  Then they run their private body
-  (`_cd`, `_z`) on that table;
+- `cd_gcd_transform` and `z_transform` refuse an input with more than
+  max_degree+1 colors, which cannot be Grundy, before building anything;
+  otherwise they build a fresh table from their input and check the input
+  on it: length, properness and the Grundy property, and color-domination
+  for `z_transform`.  Then they run their private body (`_cd`, `_z`) on
+  that table;
 - `z_heuristic` runs the public `cd_gcd_transform` on the greedy coloring,
   which is Grundy already (first-fit gives every vertex the least color its
   earlier neighbours miss, so `grundy_reduce` would move nothing), then the
@@ -124,6 +126,18 @@ class _ColorCounts:
             raise ValueError(f"{caller} requires a Grundy coloring")
 
 
+def _grundy_table(g: Graph, c: Coloring, caller: str) -> _ColorCounts:
+    """The table of c, once c is known to be proper and Grundy.  A Grundy
+    coloring uses at most max_degree+1 colors, so a larger k is refused
+    before the n(k+1) table is built."""
+    if c.k > g.max_degree() + 1:
+        raise ValueError(f"{caller} requires a {'Grundy' if check_proper(g, c) else 'proper'} coloring")
+    table = _ColorCounts(g, c.colors)
+    table.require_proper(caller)
+    table.require_grundy(caller)
+    return table
+
+
 def grundy_reduce(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     """Enforce the Grundy property without adding colors.
 
@@ -194,9 +208,7 @@ def cd_gcd_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     The scan goes all the way down to class 1: stopping at class 2 can leave
     class 1 without a CD vertex (e.g. the 4-path colored 1,3,2,1).
     """
-    table = _ColorCounts(g, c.colors)
-    table.require_proper("cd_gcd_transform")
-    table.require_grundy("cd_gcd_transform")
+    table = _grundy_table(g, c, "cd_gcd_transform")
     trace = ReductionTrace()
     trace.iterations = _cd(table, trace.moves)
     return Coloring(tuple(table.colors)), trace
@@ -233,9 +245,7 @@ def z_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     both reductions on the refined classes.  Either the class count or the top
     class shrinks every round, so rounds are bounded by n.
     """
-    table = _ColorCounts(g, c.colors)
-    table.require_proper("z_transform")
-    table.require_grundy("z_transform")
+    table = _grundy_table(g, c, "z_transform")
     if len(cd_witnesses(table.colors, cd_flags(table.colors, table.nbc, table.k))) < table.k:
         raise ValueError("z_transform requires a color-dominating coloring")
     trace = ReductionTrace()

@@ -28,6 +28,31 @@ def small_graphs(st, max_n):
     return graphs()
 
 
+def mutated(st, texts):
+    """Hypothesis strategy: a text drawn from `texts`, encoded, with a few
+    bytes inserted, replaced or deleted; the new bytes are often digits,
+    blanks or newlines, so many mutants still parse."""
+    bytes_ = st.one_of(st.sampled_from(b"0123456789 -\n"), st.integers(0, 255))
+
+    @st.composite
+    def strategy(draw):
+        data = bytearray(draw(texts).encode())
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(data)))
+            byte = draw(bytes_)
+            op = draw(st.sampled_from(("insert", "replace", "delete")))
+            if op == "insert":
+                data.insert(at, byte)
+            elif at < len(data):
+                if op == "replace":
+                    data[at] = byte
+                else:
+                    del data[at]
+        return bytes(data)
+
+    return strategy()
+
+
 @pytest.fixture(scope="session")
 def d3_catalog():
     return generate_atoms(3)

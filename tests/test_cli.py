@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import complete_graph, cycle_graph, path_graph, small_graphs
+from conftest import complete_graph, cycle_graph, mutated, path_graph, small_graphs
 
 from zcoloring import (
     Coloring,
@@ -332,31 +332,6 @@ def test_exact_deep_searches_answer(tmp_path, capsys):
     path.write_text(to_dimacs(path_graph(900)))
     assert main(["exact", str(path), "--param", "gamma", "--limit", "900"]) == 0
     assert " = 3 " in capsys.readouterr().out
-
-
-def mutated(st, texts):
-    """Hypothesis strategy: a text drawn from `texts`, encoded, with a few
-    bytes inserted, replaced or deleted; the new bytes are often digits,
-    blanks or newlines, so many mutants still parse."""
-    bytes_ = st.one_of(st.sampled_from(b"0123456789 -\n"), st.integers(0, 255))
-
-    @st.composite
-    def strategy(draw):
-        data = bytearray(draw(texts).encode())
-        for _ in range(draw(st.integers(1, 3))):
-            at = draw(st.integers(0, len(data)))
-            byte = draw(bytes_)
-            op = draw(st.sampled_from(("insert", "replace", "delete")))
-            if op == "insert":
-                data.insert(at, byte)
-            elif at < len(data):
-                if op == "replace":
-                    data[at] = byte
-                else:
-                    del data[at]
-        return bytes(data)
-
-    return strategy()
 
 
 def test_exact_never_raises_on_fuzzed_files(tmp_path, capsys):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import small_graphs
+from conftest import mutated, small_graphs
 
 from zcoloring import (
     ColoredGraph,
@@ -18,6 +18,7 @@ from zcoloring import (
     serialize_colored_graph,
     to_dimacs,
 )
+from zcoloring.graphs import MAX_ORDER
 from zcoloring.randgraphs import gnp
 
 
@@ -279,3 +280,157 @@ def test_record_class_lines_checked_in_linear_time():
     assert time.perf_counter() - start < 0.5
     with pytest.raises(RecordError, match=f"line {4 + k}: class {k} inconsistent with colors"):
         parse_coloring_record(text.replace(f"class {k} {k - 1} ", f"class {k} "))
+
+
+def reference_read(text):
+    """A plain line-by-line DIMACS reader, written from the format: returns
+    (n, set of 0-indexed edges u < v, comments) or raises DimacsError."""
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
+    n, edges, comments = None, set(), []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        words = line.split()
+        if not words:
+            continue
+        bad = f"line {lineno}: malformed {'problem' if words[0] == 'p' else 'edge'} line {line!r}"
+        if words[0] == "c":
+            comments.append(line[1:].strip())
+        elif words[0] == "p":
+            if n is not None:
+                raise DimacsError(f"line {lineno}: duplicate problem line")
+            if len(words) != 4 or words[1] not in ("edge", "col"):
+                raise DimacsError(bad)
+            try:
+                n, _ = int(words[2]), int(words[3])
+            except ValueError:
+                raise DimacsError(bad) from None
+            if n < 0:
+                raise DimacsError(f"line {lineno}: negative vertex count")
+            if n > MAX_ORDER:
+                raise DimacsError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_ORDER}")
+        elif words[0] == "e":
+            if n is None:
+                raise DimacsError(f"line {lineno}: edge before problem line")
+            try:
+                u, v = map(int, words[1:])
+            except ValueError:
+                raise DimacsError(bad) from None
+            if not (0 < u <= n and 0 < v <= n):
+                raise DimacsError(f"line {lineno}: vertex index out of range in {line!r}")
+            if u == v:
+                raise DimacsError(f"line {lineno}: self-loop edge {line!r}")
+            edges.add((min(u, v) - 1, max(u, v) - 1))
+        else:
+            raise DimacsError(f"line {lineno}: unrecognized line {line!r}")
+    if n is None:
+        raise DimacsError("missing problem line")
+    return n, edges, comments
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as exc:  # DimacsError, or UnicodeDecodeError on bytes
+        return type(exc).__name__, str(exc)
+
+
+def test_read_dimacs_matches_a_plain_line_reader():
+    # the bulk path and the line reader behind it must agree with a reader
+    # written from the format on canonical, noisy and byte-mutated texts
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    canonical = small_graphs(st, 8).map(to_dimacs)
+
+    blanks = st.sampled_from([" ", "  ", "\t", " \t"])
+
+    @st.composite
+    def noisy(draw):
+        # a canonical text with a few local changes, so that most texts stay
+        # close to the form the bulk path takes
+        g = draw(small_graphs(st, 8))
+        lines = [f"p {draw(st.sampled_from(['edge', 'col']))} {g.n} {g.m}"]
+        lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+        end, final = "\n", True
+        ops = ["pad", "blank", "comment", "empty", "edge", "join", "crlf", "unterminated"]
+        for op in draw(st.lists(st.sampled_from(ops), min_size=1, max_size=4)):
+            i = draw(st.integers(0, len(lines) - 1))
+            words = lines[i].split(" ")
+            if op == "pad" and words[0] == "e":
+                j = draw(st.integers(1, 2))
+                words[j] = draw(st.sampled_from(["0", "00", "+"])) + words[j]
+                lines[i] = " ".join(words)
+            elif op == "blank":
+                lines[i] = draw(st.sampled_from(["", " "])) + draw(blanks).join(words) + draw(st.sampled_from(["", "\t"]))
+            elif op in ("comment", "empty"):
+                extra = ["c note", "c", "\tc  spaced  "] if op == "comment" else ["", "   "]
+                lines.insert(i + draw(st.integers(0, 1)), draw(st.sampled_from(extra)))
+            elif op == "edge" and g.m:
+                u, v = draw(st.sampled_from(g.edges()))
+                lines.insert(i + 1, draw(st.sampled_from([f"e {u + 1} {v + 1}", f"e {v + 1} {u + 1}"])))
+            elif op == "join" and i + 1 < len(lines):
+                lines[i] += draw(blanks) + lines.pop(i + 1)
+            elif op == "crlf":
+                end = "\r\n"
+            elif op == "unterminated":
+                final = False
+        return end.join(lines) + (end if final else "")
+
+    @st.composite
+    def joined(draw):
+        # two lines of a canonical text run together: a pattern that forgets
+        # line ends would read "e 1 2 e 3 4" as two edges
+        lines = draw(canonical).splitlines()
+        i = draw(st.integers(0, max(len(lines) - 2, 0)))
+        lines[i:i + 2] = [draw(blanks).join(lines[i:i + 2])]
+        return "\n".join(lines) + "\n"
+
+    texts = st.one_of(canonical, noisy(), joined())
+    inputs = st.one_of(texts, mutated(st, texts), mutated(st, texts).map(lambda b: b.decode("latin-1")))
+
+    @hypothesis.settings(max_examples=600, deadline=None, database=None)
+    @hypothesis.given(inputs)
+    def check(text):
+        got, want = outcome(read_dimacs, text), outcome(reference_read, text)
+        if isinstance(got, tuple) and isinstance(got[0], Graph):
+            g, comments = got
+            got = g.n, set(g.edges()), comments
+            assert all(list(a) == sorted(set(a)) for a in g.adj)
+        assert got == want, text
+
+    check()
+
+
+def reference_record(g, c, star):
+    """The coloring record, formatted field by field from its definition."""
+    k = max(c.colors, default=0)
+    lines = [f"n {g.n}", " ".join(["edges"] + [f"{u}-{v}" for u in range(g.n) for v in g.adj[u] if u < v])]
+    lines += [f"k {k}", " ".join(["colors"] + [str(x) for x in c.colors])]
+    for j in range(1, k + 1):
+        lines.append(f"class {j} " + " ".join(str(v) for v in range(g.n) if c.colors[v] == j))
+    if star is not None:
+        lines.append("star " + " ".join(str(u) for u in star))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_serialize_coloring_matches_a_reference_formatter():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        g = draw(small_graphs(st, 9))
+        # colors up to n + 2, so classes may be empty and k may exceed n
+        colors = draw(st.lists(st.integers(1, g.n + 2), min_size=g.n, max_size=g.n))
+        star = draw(st.one_of(st.none(), st.lists(st.integers(0, max(g.n - 1, 0)), max_size=4).map(tuple)))
+        return g, Coloring(tuple(colors)), star
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, c, star = case
+        assert serialize_coloring(g, c, star) == reference_record(g, c, star)
+
+    check()
+    # an empty class keeps the blank after its number
+    assert "class 2 \n" in serialize_coloring(Graph.from_edges(2, []), Coloring((1, 3)))

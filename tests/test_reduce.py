@@ -238,6 +238,23 @@ def test_grundy_reduce_memory_is_linear_in_n():
     assert peak < 2 << 20
 
 
+def test_table_stages_refuse_too_many_colors_before_building():
+    # a Grundy coloring has k <= max_degree+1, so a larger k is refused with
+    # the Grundy (or, if improper, the properness) error before the n(k+1)
+    # count table is built
+    k2 = complete_graph(2)
+    for stage in (cd_gcd_transform, z_transform):
+        for colors, message in (((1, 10**10), "Grundy"), ((10**10, 10**10), "proper")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"{stage.__name__} requires a {message} coloring"):
+                    stage(k2, Coloring(colors))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+
 def test_color_counts_track_moves_and_deletions():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
