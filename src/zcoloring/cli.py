@@ -19,6 +19,7 @@ import time
 from .atoms import catalog_from_text, catalog_to_text, generate_atoms, prove_upper_bound
 from .families import FamilySpec
 from .graphs import (
+    MAX_ORDER,
     DimacsError,
     Graph,
     RecordError,
@@ -109,13 +110,9 @@ def cmd_color(args) -> int:
     if not ok:
         print(f"internal error: {args.heuristic} output failed {level} verification", file=sys.stderr)
         return 1
-    record = serialize_coloring(g, c, star)
-    if args.out:
-        _write_text(args.out, record)
-    if args.format == "record":
-        if not args.out:
-            sys.stdout.write(record)
-    else:
+    if args.out or args.format == "record":
+        _write_text(args.out or "-", serialize_coloring(g, c, star))
+    if args.format != "record":
         summary = " ".join(f"{k}={'ok' if v else 'NO'}" for k, v in flags.items())
         print(f"{args.input}: k={c.k} {summary} time={elapsed:.3f}s")
     return 0
@@ -190,11 +187,11 @@ def cmd_family_gen(args) -> int:
         g, coloring, star = made, None, None
     else:
         g, coloring, star = made.graph, made.coloring, made.dominating_star
+    if args.coloring_out and coloring is None:
+        print(f"family {args.name} has no attached coloring", file=sys.stderr)
+        return 2
     _write_text(args.out, to_dimacs(g))
     if args.coloring_out:
-        if coloring is None:
-            print(f"family {args.name} has no attached coloring", file=sys.stderr)
-            return 2
         _write_text(args.coloring_out, serialize_coloring(g, coloring, star))
     return 0
 
@@ -206,6 +203,9 @@ def _bench_instances(args):
     for spec in args.random or []:
         n_s, p_s, seed_s = spec.split(",")
         n, p, seed = int(n_s), float(p_s), int(seed_s)
+        # gnp draws once per vertex pair, whatever p is
+        if n > 1 and n * (n - 1) // 2 > MAX_ORDER:
+            raise ValueError(f"bench: --random {spec}: {n} vertices have more than {MAX_ORDER} pairs")
         instances.append((f"gnp-{n}-{p}-{seed}", gnp(n, p, random.Random(seed))))
     return instances
 

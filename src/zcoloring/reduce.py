@@ -14,7 +14,9 @@ orders keeping the best result.
 state of its own.  The other stages, and the Grundy scan inside each z
 round, read "which colors does v see" off one count table (`_ColorCounts`),
 updated in O(deg v) per move, so no stage rebuilds what the stage before it
-has just built.  Where the checks run:
+has just built.  Every class a stage empties is deleted through that table
+(`_ColorCounts.delete`) as soon as the stage sees it empty.  Where the
+checks run:
 
 - `grundy_reduce` checks length and properness with `verify.check_proper`;
 - `cd_gcd_transform` and `z_transform` refuse an input with more than
@@ -69,30 +71,25 @@ def greedy_coloring(g: Graph, order=None) -> Coloring:
 
 
 class _ColorCounts:
-    """Which colors each vertex sees, for a coloring that changes by moves and
-    class deletions: cnt[v][c] is the number of neighbors of v with color c,
-    and nbc[v] is verify.neighbor_colors of the current coloring (bit c set
-    iff cnt[v][c] > 0).  Colors run 1..k; rows have k+1 entries, so the
-    table holds n(k+1) counts: O(n + m) for a Grundy coloring, whose k is at
-    most max_degree+1."""
+    """Which colors each vertex sees, for a coloring that changes only by
+    `move` and `delete`, built once from the coloring it starts from:
+    cnt[v][c] is the number of neighbors of v with color c, and nbc[v] is
+    verify.neighbor_colors of the current coloring (bit c set iff
+    cnt[v][c] > 0).  Colors run 1..k; rows have k+1 entries, so the table
+    holds n(k+1) counts: O(n + m) for a Grundy coloring, whose k is at most
+    max_degree+1."""
 
     def __init__(self, g: Graph, colors):
         if len(colors) != g.n:
             raise ValueError(f"coloring covers {len(colors)} vertices, graph has {g.n}")
-        self.g, self.adj = g, g.adj
-        self.colors, self.cnt, self.nbc = list(colors), [], []
-        self.recount()
-
-    def recount(self) -> None:
-        """Rebuild the table from scratch for the current colors, k being the
-        largest of them."""
-        colors = self.colors
+        self.adj = g.adj
+        self.colors = colors = list(colors)
         self.k = max(colors, default=0)
-        self.cnt[:] = [[0] * (self.k + 1) for _ in colors]
+        self.cnt = [[0] * (self.k + 1) for _ in colors]
         for row, nbrs in zip(self.cnt, self.adj):
             for w in nbrs:
                 row[colors[w]] += 1
-        self.nbc[:] = neighbor_colors(self.g, colors)
+        self.nbc = neighbor_colors(g, colors)
 
     def move(self, v: int, new: int) -> None:
         """Recolor v to an existing color new in O(deg v)."""
@@ -175,25 +172,20 @@ def _grundy(table: _ColorCounts, moves: list) -> None:
     for v, col in enumerate(colors):
         classes[col - 1].append(v)
     # moves only go down into classes already scanned, so each input class
-    # is scanned once, holding exactly its input vertices.  A class that
-    # empties keeps its color s in the table, marked in `gone` so that no
-    # vertex takes it, until one recount after the scan; meanwhile the name
-    # of a color is its value less the marked colors below it (i for s)
-    gone = 0
+    # is scanned once, holding exactly its input vertices, and i is its
+    # current color; a class that empties is deleted at once, and the next
+    # class takes its color i
     i = 2
-    for s, members in enumerate(classes[1:], start=2):
+    for members in classes[1:]:
         for v in members:
-            j = least_absent(nbc[v] | gone)
-            if j < s:
+            j = least_absent(nbc[v])
+            if j < i:
                 table.move(v, j)
-                moves.append((v, i, j - (gone & ((1 << j) - 1)).bit_count()))
-        if all(colors[v] != s for v in members):
-            gone |= 1 << s
+                moves.append((v, i, j))
+        if all(colors[v] != i for v in members):
+            table.delete(i)
         else:
             i += 1
-    if gone:
-        colors[:] = [col - (gone & ((1 << col) - 1)).bit_count() for col in colors]
-        table.recount()
 
 
 def cd_gcd_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
@@ -275,9 +267,6 @@ def _z(table: _ColorCounts, moves: list) -> int:
         for v, _old, new in recolored:
             table.move(v, new)
         moves.extend(recolored)
-        # only the top class can empty: u leaves it, and class i_u gains u
-        if t not in colors:
-            table.delete(t)
         table.require_proper("grundy_reduce")
         _grundy(table, moves)
         table.require_grundy("cd_gcd_transform")

@@ -11,7 +11,7 @@ from zcoloring import (
     serialize_coloring,
     to_dimacs,
 )
-from zcoloring import exact_gamma, reduce
+from zcoloring import cli, exact_gamma, reduce
 from zcoloring.cli import ORACLES, build_parser, main
 from zcoloring.graphs import MAX_ORDER
 
@@ -367,6 +367,15 @@ def test_exact_never_raises_on_fuzzed_files(tmp_path, capsys):
     check_valid()
 
 
+def test_color_table_builds_no_record_it_does_not_write(p5_file, monkeypatch, capsys):
+    def unused(*args):
+        raise AssertionError("serialize_coloring called")
+
+    monkeypatch.setattr(cli, "serialize_coloring", unused)
+    assert main(["color", p5_file, "--format", "table"]) == 0
+    assert "z=ok" in capsys.readouterr().out
+
+
 def test_color_reports_z_transform_failure_in_one_line(p5_file, monkeypatch, capsys):
     def stuck(g, c):
         raise RuntimeError("z_transform failed to converge")
@@ -440,6 +449,8 @@ def test_family_gen_rk_coloring_record(tmp_path):
 def test_family_gen_coloring_without_one_is_error(tmp_path):
     assert main(["family", "gen", "--name", "Ht", "--k", "3",
                  "--out", str(tmp_path / "h.col"), "--coloring-out", str(tmp_path / "h.rec")]) == 2
+    # refused before anything is written
+    assert not (tmp_path / "h.col").exists()
 
 
 def test_bench_table_and_monotone_columns(tmp_path, capsys):
@@ -466,6 +477,15 @@ def test_bench_bad_rounds_is_usage_error(capsys):
     assert main(["bench", "--random", "8,0.5,1", "--heuristics", "iz", "--rounds", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "rounds must be >= 1\n"
+
+
+def test_bench_random_refuses_more_pairs_than_the_cap(capsys):
+    # 1448 vertices have 1 047 628 pairs, 1449 have 1 049 076 > MAX_ORDER
+    assert main(["bench", "--random", "1448,0.0,1", "--heuristics", "greedy", "--format", "record"]) == 0
+    assert capsys.readouterr().out == "gnp-1448-0.0-1 greedy 1\n"
+    assert main(["bench", "--random", "1449,0.0,1", "--heuristics", "greedy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "1449" in captured.err
 
 
 def test_bench_empty_instance_list(capsys):

@@ -33,7 +33,7 @@ from zcoloring import (
     z_transform,
 )
 from zcoloring.randgraphs import gnp, random_tree
-from zcoloring.reduce import _ColorCounts
+from zcoloring.reduce import _ColorCounts, _grundy
 from zcoloring.verify import neighbor_colors
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -290,6 +290,47 @@ def test_color_counts_track_moves_and_deletions():
             assert table.nbc == neighbor_colors(g, table.colors)
             assert table.cnt == recount(g, table.colors, table.k)
             table.require_proper("test")
+
+    check()
+
+
+def test_z_round_grundy_scan_is_grundy_reduce():
+    # the z rounds' scan deletes each class it empties through the table, as
+    # it goes; its result and moves are grundy_reduce's first-fit, and the
+    # table it leaves is the one built from scratch for its colors
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        g = draw(small_graphs(st, 9))
+        order = draw(st.permutations(range(g.n)))
+        # a proper coloring with gaps, class 1 sometimes empty
+        shift = draw(st.integers(0, 1))
+        colors = [2 * col - draw(st.integers(0, 1)) + shift for col in greedy_coloring(g, order).colors]
+        return g, colors, draw(st.booleans())
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, colors, empty_top = case
+        table = _ColorCounts(g, colors)
+        top = [v for v, col in enumerate(colors) if col == table.k]
+        if empty_top and len(top) == 1:
+            # as in a z round: the top class's only vertex moves down, and
+            # the top class stays in the table, empty
+            free = [col for col in range(1, table.k) if not table.nbc[top[0]] >> col & 1]
+            if free:
+                table.move(top[0], free[-1])
+        expected, trace = grundy_reduce(g, Coloring(tuple(table.colors)))
+        moves = []
+        _grundy(table, moves)
+        assert table.colors == list(expected.colors)
+        assert moves == trace.moves
+        assert table.k == expected.k
+        assert table.nbc == neighbor_colors(g, table.colors)
+        assert table.cnt == [[sum(table.colors[w] == col for w in g.adj[v]) for col in range(table.k + 1)]
+                             for v in range(g.n)]
 
     check()
 
