@@ -201,8 +201,11 @@ def _bench_instances(args):
     for path in args.instances:
         instances.append((path.rsplit("/", 1)[-1], _load_graph(path)))
     for spec in args.random or []:
-        n_s, p_s, seed_s = spec.split(",")
-        n, p, seed = int(n_s), float(p_s), int(seed_s)
+        try:
+            n_s, p_s, seed_s = spec.split(",")
+            n, p, seed = int(n_s), float(p_s), int(seed_s)
+        except ValueError:
+            raise ValueError(f"bench: --random {spec}: expected N,P,SEED: integer N, probability P, integer SEED") from None
         # gnp draws once per vertex pair, whatever p is
         if n > 1 and n * (n - 1) // 2 > MAX_ORDER:
             raise ValueError(f"bench: --random {spec}: {n} vertices have more than {MAX_ORDER} pairs")

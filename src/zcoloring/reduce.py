@@ -12,31 +12,37 @@ orders keeping the best result.
 
 `grundy_reduce` is first-fit along its input's classes, so it needs no
 state of its own.  The other stages, and the Grundy scan inside each z
-round, read "which colors does v see" off one count table (`_ColorCounts`),
-updated in O(deg v) per move, so no stage rebuilds what the stage before it
-has just built.  Every class a stage empties is deleted through that table
-(`_ColorCounts.delete`) as soon as the stage sees it empty.  Where the
-checks run:
+round, read "which colors does v see" off one table (`_ColorCounts`),
+updated in O(deg v) per moved vertex.  The table holds each vertex's
+neighbour-color mask from the start, and its per-color neighbour counts
+only once a single-vertex move needs them: a z round's recoloring and
+Grundy scan do, the CD stage does not, since it dissolves whole
+independent classes, which only add bits to the masks.  So
+`cd_gcd_transform` never builds the counts, and `z_transform` builds them
+at its first round, if it has one.  Every class a stage empties is deleted
+through the table (`_ColorCounts.delete`) as soon as the stage sees it
+empty.  Where the checks run:
 
 - `grundy_reduce` checks length and properness with `verify.check_proper`;
 - `cd_gcd_transform` and `z_transform` refuse an input with more than
   max_degree+1 colors, which cannot be Grundy, before building anything;
   otherwise they build a fresh table from their input and check the input
-  on it: length, properness and the Grundy property, and color-domination
-  for `z_transform`.  Then they run their private body (`_cd`, `_z`) on
-  that table;
+  on its masks: length, properness and the Grundy property, and
+  color-domination for `z_transform`.  Then they run their private body
+  (`_cd`, `_z`) on that table;
 - `z_heuristic` runs the public `cd_gcd_transform` on the greedy coloring,
   which is Grundy already (first-fit gives every vertex the least color its
   earlier neighbours miss, so `grundy_reduce` would move nothing), then the
   public `z_transform`: each stage runs once, through its entry check;
 - inside each z round the properness and Grundy checks that precede `_grundy`
-  and `_cd` are read off the table in O(n), with the same ValueError;
+  and `_cd` are read off the masks in O(n), with the same ValueError;
 - callers that publish a coloring (the CLI) verify it independently with
   `verify.check_all`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -72,11 +78,13 @@ def greedy_coloring(g: Graph, order=None) -> Coloring:
 
 class _ColorCounts:
     """Which colors each vertex sees, for a coloring that changes only by
-    `move` and `delete`, built once from the coloring it starts from:
-    cnt[v][c] is the number of neighbors of v with color c, and nbc[v] is
-    verify.neighbor_colors of the current coloring (bit c set iff
-    cnt[v][c] > 0).  Colors run 1..k; rows have k+1 entries, so the table
-    holds n(k+1) counts: O(n + m) for a Grundy coloring, whose k is at most
+    `move`, `dissolve` and `delete`: nbc[v] is verify.neighbor_colors of the
+    current coloring, built with the table, and cnt[v][c] is the number of
+    neighbors of v with color c (bit c of nbc[v] set iff cnt[v][c] > 0).
+    The counts exist only once a single-vertex move needs them: `cnt` is
+    built from the current coloring when first read, then kept up to date.
+    Colors run 1..k; rows have k+1 entries, so the counts take n(k+1)
+    entries: O(n + m) for a Grundy coloring, whose k is at most
     max_degree+1."""
 
     def __init__(self, g: Graph, colors):
@@ -85,17 +93,24 @@ class _ColorCounts:
         self.adj = g.adj
         self.colors = colors = list(colors)
         self.k = max(colors, default=0)
-        self.cnt = [[0] * (self.k + 1) for _ in colors]
-        for row, nbrs in zip(self.cnt, self.adj):
+        self.nbc = neighbor_colors(g, colors)
+
+    @functools.cached_property
+    def cnt(self) -> list[list[int]]:
+        colors = self.colors
+        cnt = [[0] * (self.k + 1) for _ in colors]
+        for row, nbrs in zip(cnt, self.adj):
             for w in nbrs:
                 row[colors[w]] += 1
-        self.nbc = neighbor_colors(g, colors)
+        return cnt
 
     def move(self, v: int, new: int) -> None:
         """Recolor v to an existing color new in O(deg v)."""
+        # the counts first: built after the write below, they would count v
+        # at new already
+        cnt, nbc = self.cnt, self.nbc
         old = self.colors[v]
         self.colors[v] = new
-        cnt, nbc = self.cnt, self.nbc
         keep, bit = ~(1 << old), 1 << new
         for w in self.adj[v]:
             row = cnt[w]
@@ -105,17 +120,39 @@ class _ColorCounts:
             row[new] += 1
             nbc[w] |= bit
 
+    def dissolve(self, j: int, moves: list) -> None:
+        """Move every vertex of class j to the least color above j absent
+        around it, in O(deg) each, then delete j; appends the moves.  Each
+        vertex of class j must miss some color above j.  Class j is
+        independent, so no vertex of it sees another's move, and bit j
+        leaves every mask at the delete: without counts, a move only ORs
+        its new bit into the masks; with them, it is a `move`."""
+        adj, colors, nbc = self.adj, self.colors, self.nbc
+        counted = "cnt" in vars(self)
+        below = (2 << j) - 1
+        for v in [v for v, col in enumerate(colors) if col == j]:
+            new = least_absent(nbc[v] | below)
+            if counted:
+                self.move(v, new)
+            else:
+                colors[v] = new
+                for w in adj[v]:
+                    nbc[w] |= 1 << new
+            moves.append((v, j, new))
+        self.delete(j)
+
     def delete(self, j: int) -> None:
         """Delete the empty class j; the classes above it move down by one."""
         low = (1 << j) - 1
         self.colors[:] = [col - (col > j) for col in self.colors]
-        for row in self.cnt:
-            del row[j]
+        if "cnt" in vars(self):
+            for row in self.cnt:
+                del row[j]
         self.nbc[:] = [mask & low | mask >> 1 & ~low for mask in self.nbc]
         self.k -= 1
 
     def require_proper(self, caller: str) -> None:
-        if any(row[col] for row, col in zip(self.cnt, self.colors)):
+        if any(mask >> col & 1 for mask, col in zip(self.nbc, self.colors)):
             raise ValueError(f"{caller} requires a proper coloring")
 
     def require_grundy(self, caller: str) -> None:
@@ -218,12 +255,9 @@ def _cd(table: _ColorCounts, moves: list) -> int:
         if j is None:
             return iterations + k - 2
         iterations += k - 1 - j
-        for v in [v for v, col in enumerate(colors) if col == j]:
-            # exists: v is not CD and the Grundy property covers all lower classes
-            p = least_absent(nbc[v] | ((2 << j) - 1))
-            table.move(v, p)
-            moves.append((v, j, p))
-        table.delete(j)
+        # every vertex of class j misses a color above j: it is not CD, and
+        # the Grundy property covers all lower classes
+        table.dissolve(j, moves)
     return iterations
 
 

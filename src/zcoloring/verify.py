@@ -221,15 +221,19 @@ LEVELS = ("proper", "grundy", "cd", "z")
 
 def check_level(g: Graph, c: Coloring, level: str) -> Verdict:
     """The verdict of check_proper, check_grundy, check_cd or check_z (level
-    "proper", "grundy", "cd" or "z") from one check_all pass; an improper c
-    fails every level with its properness violations instead of raising."""
+    "proper", "grundy", "cd" or "z"), the last three from one check_all pass;
+    an improper c fails every level with its properness violations instead
+    of raising.  Level "proper" runs check_proper alone, so its cost does not
+    grow with the color values."""
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}, expected one of {', '.join(LEVELS)}")
+    if level == "proper":
+        return check_proper(g, c)
     proper, grundy, cd, star = check_all(g, c)
     if not proper:
         return proper
     if level != "z":
-        return {"proper": proper, "grundy": grundy, "cd": cd}[level]
+        return {"grundy": grundy, "cd": cd}[level]
     for verdict in (grundy, cd):
         if not verdict:
             return verdict

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import complete_graph, cycle_graph, mutated, path_graph, small_graphs
@@ -213,6 +217,26 @@ def test_verify_output_pinned(tmp_path, capsys):
         for level in ("proper", "grundy", "cd", "z"):
             code = main(["verify", str(graph), str(rec), "--level", level])
             assert (code, capsys.readouterr().out) == VERIFY_EXPECTED[name, level], (name, level)
+
+
+def test_verify_proper_level_reads_no_color_masks(tmp_path):
+    # level proper is check_proper alone: a record whose colors run to 10**10
+    # passes in O(n + m), where a neighbour-colour mask would take 10**10 bits.
+    # The command runs in a child process capped at 1.5 GB of address space,
+    # so a regression fails with MemoryError instead of exhausting the memory.
+    graph, rec = tmp_path / "k2.col", tmp_path / "k2.rec"
+    graph.write_text(to_dimacs(complete_graph(2)))
+    rec.write_text(f"n 2\nedges 0-1\nk {10**10}\ncolors 1 {10**10}\n")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1500 << 20, 1500 << 20))\n"
+        "from zcoloring.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code, "verify", str(graph), str(rec), "--level", "proper"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"proper: pass (k={10**10})\n", "")
 
 
 def test_verify_wrong_graph_is_usage_error(tmp_path):
@@ -486,6 +510,16 @@ def test_bench_random_refuses_more_pairs_than_the_cap(capsys):
     assert main(["bench", "--random", "1449,0.0,1", "--heuristics", "greedy"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1 and "1449" in captured.err
+
+
+def test_bench_random_malformed_spec_is_usage_error(capsys):
+    # a missing, extra or non-numeric field is named in one line, not as an
+    # unpacking or conversion error
+    for spec in ("5,0.5", "5,0.5,1,2", "a,0.5,1", "5,x,1", "5,0.5,1.5"):
+        assert main(["bench", "--random", spec, "--heuristics", "greedy"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bench: --random {spec}: expected N,P,SEED: integer N, probability P, integer SEED\n"
 
 
 def test_bench_empty_instance_list(capsys):

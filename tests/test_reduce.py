@@ -33,7 +33,7 @@ from zcoloring import (
     z_transform,
 )
 from zcoloring.randgraphs import gnp, random_tree
-from zcoloring.reduce import _ColorCounts, _grundy
+from zcoloring.reduce import _ColorCounts, _cd, _grundy
 from zcoloring.verify import neighbor_colors
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -331,6 +331,74 @@ def test_z_round_grundy_scan_is_grundy_reduce():
         assert table.nbc == neighbor_colors(g, table.colors)
         assert table.cnt == [[sum(table.colors[w] == col for w in g.adj[v]) for col in range(table.k + 1)]
                              for v in range(g.n)]
+
+    check()
+
+
+def test_only_single_vertex_moves_build_counts(monkeypatch):
+    # the CD stage dissolves whole classes on the masks alone; a z round's
+    # recoloring and Grundy scan move single vertices and need the counts,
+    # so z_transform builds them once, at its first round, or never
+    tables = []
+    init = _ColorCounts.__init__
+
+    def spy(table, g, colors):
+        init(table, g, colors)
+        tables.append(table)
+
+    monkeypatch.setattr(_ColorCounts, "__init__", spy)
+
+    def counts_built():
+        return sum("cnt" in vars(table) for table in tables)
+
+    rng = random.Random(20)
+    rounds = dissolves = 0
+    for _ in range(80):
+        g = gnp(rng.randint(1, 60), rng.choice([0.1, 0.3, 0.6]), rng)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        c, trace = cd_gcd_transform(g, greedy_coloring(g, order))
+        assert counts_built() == 0
+        dissolves += bool(trace.moves)
+        _, trace = z_transform(g, c)
+        assert counts_built() == min(trace.iterations, 1)
+        rounds += trace.iterations
+        tables.clear()
+    assert dissolves and rounds
+
+
+def test_dissolve_keeps_masks_and_counts_built_or_not():
+    # _cd on a table whose counts were never read, and on one whose counts
+    # were read first, gives the same colors, masks, moves and class checks;
+    # the masks left are those built from scratch, and so are the counts
+    # kept up to date from the start (without them, counts read afterwards
+    # are built from the result, so only the masks and the comparison with
+    # the counted run check the count-free path)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        g = draw(small_graphs(st, 10))
+        return g, greedy_coloring(g, draw(st.permutations(range(g.n)))).colors
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, colors = case
+        runs = []
+        for read_first in (False, True):
+            table = _ColorCounts(g, colors)
+            if read_first:
+                assert len(table.cnt) == g.n
+            moves = []
+            iterations = _cd(table, moves)
+            runs.append((table.colors, table.nbc, moves, iterations))
+            assert table.nbc == neighbor_colors(g, table.colors)
+            if read_first:
+                assert table.cnt == [[sum(table.colors[w] == col for w in g.adj[v]) for col in range(table.k + 1)]
+                                     for v in range(g.n)]
+        assert runs[0] == runs[1]
 
     check()
 
