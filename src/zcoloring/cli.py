@@ -37,7 +37,7 @@ from .reduce import (
     iterated_z,
     z_heuristic,
 )
-from .verify import LEVELS, check_all, check_level
+from .verify import LEVELS, Verdict, Violation, check_all, check_level, verify_star
 
 HEURISTICS = ("greedy", "grundy", "gcd", "z", "iz")
 ORACLES = {"chi": exact_chi, "gamma": exact_gamma, "b": exact_b, "z": exact_z}
@@ -77,11 +77,10 @@ def run_heuristic(g: Graph, name: str, rounds: int, seed: int):
 
 
 def _verify_output(g: Graph, c, level: str):
-    """One verification pass over c: whether it meets `level` (its flag and
-    those of the levels before it in LEVELS), the four flags and the star."""
-    proper, grundy, cd, star = check_all(g, c)
-    flags = {"proper": proper.passed, "grundy": bool(grundy), "cd": bool(cd), "z": star is not None}
-    return all(flags[name] for name in LEVELS[: LEVELS.index(level) + 1]), flags, star
+    """One verification pass over c: whether it meets `level` (its verdict
+    and those of the levels before it in LEVELS), and check_all's verdicts."""
+    verdicts = check_all(g, c)
+    return all(verdicts[name] for name in LEVELS[: LEVELS.index(level) + 1]), verdicts
 
 
 def cmd_color(args) -> int:
@@ -106,14 +105,15 @@ def cmd_color(args) -> int:
         print(f"internal error: {args.heuristic}: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - start
-    ok, flags, star = _verify_output(g, c, level)
+    ok, verdicts = _verify_output(g, c, level)
     if not ok:
         print(f"internal error: {args.heuristic} output failed {level} verification", file=sys.stderr)
         return 1
     if args.out or args.format == "record":
-        _write_text(args.out or "-", serialize_coloring(g, c, star))
+        z = verdicts["z"]
+        _write_text(args.out or "-", serialize_coloring(g, c, z.witness["star"] if z else None))
     if args.format != "record":
-        summary = " ".join(f"{k}={'ok' if v else 'NO'}" for k, v in flags.items())
+        summary = " ".join(f"{k}={'ok' if v else 'NO'}" for k, v in verdicts.items())
         print(f"{args.input}: k={c.k} {summary} time={elapsed:.3f}s")
     return 0
 
@@ -126,6 +126,10 @@ def cmd_verify(args) -> int:
         print("coloring record was made for a different graph", file=sys.stderr)
         return 2
     verdict = check_level(g, cg.coloring, args.level)
+    star = cg.dominating_star
+    # a z-coloring record's star is a claim of its own
+    if verdict and args.level == "z" and star is not None and not verify_star(g, cg.coloring, star):
+        verdict = Verdict(False, [Violation("invalid-star")])
     if verdict.passed:
         print(f"{args.level}: pass (k={cg.coloring.k})")
         return 0

@@ -12,13 +12,14 @@ the star degree bound (`star_degree_bound`), which never exceeds either,
 since the dominating star u_1..u_k of a z-coloring is a vertex of degree
 >= k-1 with k-1 neighbours of degree >= k-1.  Every z-coloring is a
 b-coloring (the star vertex of each class sees all the others), so a z probe
-runs the b search first and returns None when it fails; the b search, whose
-colors are interchangeable, refutes a target far faster than the ordered z
-search.  Only when a b-coloring with k colors exists does the z search run,
-so values and witnesses are those of the z search alone, and z's `explored`
-includes the nodes of the b probes.  The backtracking engine (`_search`) is
-one loop over an explicit stack of frames, so its depth is bounded by memory
-rather than the recursion limit.  It assigns vertices most-saturated-first
+runs the b search first and fails when it fails; the b search, whose colors
+are interchangeable, refutes a target far faster than the ordered z search.
+Only when a b-coloring with k colors exists does the z search run, so values
+and witnesses are those of the z search alone, and z's `explored` includes
+the nodes of the b probes.  Every oracle that probes targets does so through
+`_probe`, which owns this b-before-z policy and sums the node count.  The
+backtracking engine (`_search`) is one loop over an explicit stack of
+frames, so its depth is bounded by memory rather than the recursion limit.  It assigns vertices most-saturated-first
 with properness pruning, and the z search additionally prunes any vertex
 whose missing lower colors exceed its unassigned neighbors.  Per vertex it
 keeps the neighbour color counts and their mask (which decides properness),
@@ -53,6 +54,7 @@ independent test of their witnesses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .graphs import Coloring, Graph
@@ -67,7 +69,8 @@ class OracleResult:
     """An oracle's value, a witness coloring with exactly `value` colors, and
     `explored`, a count of the oracle's work: b-search nodes over the probes
     for chi, subsets solved by the recursion for gamma, search nodes for b,
-    and the b-probe nodes plus the z-search nodes for z."""
+    and the b-probe nodes plus the z-search nodes for z.  `_probe`, which
+    runs the b search before the z search, sums the nodes of every probe."""
 
     value: int
     witness: Coloring
@@ -110,10 +113,10 @@ def star_degree_bound(g: Graph) -> int:
     return best
 
 
-def _search(g: Graph, k: int, star: bool, explored_box):
-    """Find a proper coloring with colors in 1..k that passes the cuts below
-    at its complete assignment, or None: a b-coloring, or with `star` a
-    z-coloring.
+def _search(g: Graph, k: int, star: bool):
+    """(colors, nodes): a proper coloring with colors in 1..k that passes
+    the cuts below at its complete assignment, or None, and the number of
+    search nodes explored.  It is a b-coloring, or with `star` a z-coloring.
 
     One loop over an explicit stack of frames [v, color tried, top,
     max_used], one per vertex on the current branch, so the depth is bounded
@@ -192,8 +195,7 @@ def _search(g: Graph, k: int, star: bool, explored_box):
                         break
         if open_:
             if len(stack) == n:
-                explored_box[0] += explored
-                return color
+                return color, explored
             v = key.index(max(key))
             stack.append([v, 0, k if star else min(k, max_used + 1), max_used])
         # advance the deepest frame to its next color, popping exhausted ones
@@ -258,19 +260,33 @@ def _search(g: Graph, k: int, star: bool, explored_box):
                     max_used = c
                 break
         else:
-            explored_box[0] += explored
-            return None
+            return None, explored
 
 
-def _find_b(g: Graph, k: int, explored_box):
-    return _search(g, k, False, explored_box)
+def _probe(g: Graph, targets, star: bool) -> OracleResult | None:
+    """The first k of `targets` that admits a b-coloring, or with `star` a
+    z-coloring, with the search's witness and the nodes of every probe so far
+    as `explored`; None if no target does.  Every z-coloring is a b-coloring,
+    and the b search refutes k far faster, so a z probe runs it first and
+    the z search only where it succeeds."""
+    explored = 0
+    for k in targets:
+        found, nodes = _search(g, k, False)
+        explored += nodes
+        if found is not None and star:
+            found, nodes = _search(g, k, True)
+            explored += nodes
+        if found is not None:
+            return OracleResult(k, Coloring(tuple(found)), explored)
+    return None
 
 
-def _find_z(g: Graph, k: int, explored_box):
-    # every z-coloring is a b-coloring, and the b search refutes k far faster
-    if _find_b(g, k, explored_box) is None:
-        return None
-    return _search(g, k, True, explored_box)
+def _edgeless(g: Graph) -> OracleResult:
+    """The b and z answer where `_probe` finds no target: any graph with an
+    edge has chi >= 2, and both downward bounds are at least chi, so a probe
+    succeeds; an edgeless graph has both bounds at most 1 and probes none."""
+    assert g.m == 0
+    return OracleResult(1 if g.n else 0, Coloring((1,) * g.n), 0)
 
 
 def _maximal_independent_sets(closed: list[int], s: int):
@@ -312,9 +328,9 @@ def _maximal_independent_sets(closed: list[int], s: int):
         stack.extend(reversed(children))
 
 
-def _grundy_coloring(g: Graph, explored_box) -> list[int]:
+def _grundy_coloring(g: Graph) -> tuple[list[int], int]:
     """A Grundy coloring of g with Gamma(g) colors, by a subset recursion over
-    maximal independent sets.
+    maximal independent sets, and the number of subsets solved.
 
     Class 1 of a Grundy coloring is a maximal independent set I and the
     other classes, shifted down by one, form a Grundy coloring of G - I;
@@ -327,8 +343,7 @@ def _grundy_coloring(g: Graph, explored_box) -> list[int]:
     Each solved subset records the set I that gave its best value, and the
     coloring is peeled from the full vertex set: class j is the set recorded
     for what classes 1..j-1 left.  It has Gamma classes and is Grundy, since
-    each class is maximal independent in what remains.  `explored_box`
-    counts the subsets solved.
+    each class is maximal independent in what remains.
     """
     adjm = g.adjacency_masks()
     closed = [a | (1 << v) for v, a in enumerate(adjm)]
@@ -352,8 +367,9 @@ def _grundy_coloring(g: Graph, explored_box) -> list[int]:
     # it is memoized, so the order of solved subsets is that of the recursion
     s = (1 << g.n) - 1
     stack = []
+    solved = 0
     if s:
-        explored_box[0] += 1
+        solved += 1
         stack.append([s, bound(s), 0, _maximal_independent_sets(closed, s), 0])
     while stack:
         frame = stack[-1]
@@ -372,7 +388,7 @@ def _grundy_coloring(g: Graph, explored_box) -> list[int]:
                     if rest_top < best:
                         continue
                     frame[2], frame[4] = best, mis
-                    explored_box[0] += 1
+                    solved += 1
                     stack.append([rest, rest_top, 0, _maximal_independent_sets(closed, rest), 0])
                     break
                 if val >= best:
@@ -394,19 +410,7 @@ def _grundy_coloring(g: Graph, explored_box) -> list[int]:
             low = mis & -mis
             mis ^= low
             color[low.bit_length() - 1] = j
-    return color
-
-
-def _maximize(g: Graph, start_k: int, finder) -> OracleResult:
-    explored = [0]
-    for k in range(start_k, 1, -1):
-        found = finder(g, k, explored)
-        if found is not None:
-            return OracleResult(k, Coloring(tuple(found)), explored[0])
-    # any graph with an edge admits a 2-color b- and z-coloring, so falling
-    # through means the graph is edgeless
-    assert g.m == 0
-    return OracleResult(1 if g.n else 0, Coloring((1,) * g.n), explored[0])
+    return color, solved
 
 
 def _greedy_clique(g: Graph) -> int:
@@ -435,35 +439,29 @@ def exact_chi(g: Graph, limit_n: int = 12) -> OracleResult:
     exists at all, so the first k the b search answers is chi, and its
     coloring, a b-coloring, is the witness."""
     check_limit(g.n, limit_n, "exact_chi")
-    explored = [0]
-    k = _greedy_clique(g)
-    while True:
-        found = _find_b(g, k, explored)
-        if found is not None:
-            return OracleResult(k, Coloring(tuple(found)), explored[0])
-        k += 1
+    return _probe(g, itertools.count(_greedy_clique(g)), False)
 
 
 def exact_gamma(g: Graph, limit_n: int = 12) -> OracleResult:
     """Maximum colors of any Grundy (first-fit) coloring, with the coloring
     `_grundy_coloring` peels as witness."""
     check_limit(g.n, limit_n, "exact_gamma")
-    explored = [0]
-    witness = Coloring(tuple(_grundy_coloring(g, explored)))
-    return OracleResult(witness.k, witness, explored[0])
+    colors, solved = _grundy_coloring(g)
+    witness = Coloring(tuple(colors))
+    return OracleResult(witness.k, witness, solved)
 
 
 def exact_b(g: Graph, limit_n: int = 12) -> OracleResult:
     """Maximum colors of any color-dominating (b-) coloring."""
     check_limit(g.n, limit_n, "exact_b")
-    return _maximize(g, m_degree_bound(g), _find_b)
+    return _probe(g, range(m_degree_bound(g), 1, -1), False) or _edgeless(g)
 
 
 def exact_z(g: Graph, limit_n: int = 14) -> OracleResult:
     """Maximum colors of any z-coloring; 1 for edgeless graphs.  Targets are
     probed downward from `star_degree_bound(g)`."""
     check_limit(g.n, limit_n, "exact_z")
-    return _maximize(g, star_degree_bound(g), _find_z)
+    return _probe(g, range(star_degree_bound(g), 1, -1), True) or _edgeless(g)
 
 
 def find_z_coloring(g: Graph, k: int) -> Coloring | None:
@@ -477,8 +475,8 @@ def find_z_coloring(g: Graph, k: int) -> Coloring | None:
         raise ValueError("k must be >= 1")
     if k > star_degree_bound(g):
         return None
-    found = _find_z(g, k, [0])
-    return Coloring(tuple(found)) if found is not None else None
+    result = _probe(g, (k,), True)
+    return result.witness if result is not None else None
 
 
 def z_reaches(g: Graph, t: int) -> bool:
@@ -492,4 +490,4 @@ def z_reaches(g: Graph, t: int) -> bool:
     """
     if t <= 1:
         return g.n >= t
-    return any(_find_z(g, k, [0]) is not None for k in range(t, star_degree_bound(g) + 1))
+    return _probe(g, range(t, star_degree_bound(g) + 1), True) is not None

@@ -201,51 +201,45 @@ def find_dominating_star(g: Graph, c: Coloring) -> tuple[int, ...] | None:
     return star_from(g.adj, c.colors, cd, c.k)
 
 
-def check_all(g: Graph, c: Coloring):
-    """check_proper, check_grundy and check_cd of c and its dominating star
-    (None unless c is Grundy and CD), from one properness check and one
-    neighbour-colour mask; all but the first are None if c is improper."""
+LEVELS = ("proper", "grundy", "cd", "z")
+
+
+def check_all(g: Graph, c: Coloring) -> dict[str, Verdict]:
+    """One Verdict per level of LEVELS, in that order, from one properness
+    check and one neighbour-colour mask: those of check_proper, check_grundy
+    and check_cd, and at "z" the first of the Grundy and CD verdicts that
+    fails, else a pass whose witness adds the dominating star ("star") to
+    the CD vertices, or a `no-dominating-star` failure.  An improper c fails
+    every level with its properness violations instead of raising."""
     proper = check_proper(g, c)
     if not proper:
-        return proper, None, None, None
+        return dict.fromkeys(LEVELS, proper)
     nbc = neighbor_colors(g, c.colors)
     cd = cd_flags(c.colors, nbc, c.k)
     grundy = _grundy_verdict(c.colors, nbc)
     cd_verdict = _cd_verdict(c.colors, cd, c.k)
-    star = star_from(g.adj, c.colors, cd, c.k) if grundy and cd_verdict else None
-    return proper, grundy, cd_verdict, star
-
-
-LEVELS = ("proper", "grundy", "cd", "z")
+    z = next((v for v in (grundy, cd_verdict) if not v), None)
+    if z is None:
+        star = star_from(g.adj, c.colors, cd, c.k)
+        if star is None:
+            z = Verdict(False, [Violation("no-dominating-star", class_index=c.k)])
+        else:
+            z = Verdict(True, witness={"star": star, **cd_verdict.witness})
+    return {"proper": proper, "grundy": grundy, "cd": cd_verdict, "z": z}
 
 
 def check_level(g: Graph, c: Coloring, level: str) -> Verdict:
-    """The verdict of check_proper, check_grundy, check_cd or check_z (level
-    "proper", "grundy", "cd" or "z"), the last three from one check_all pass;
-    an improper c fails every level with its properness violations instead
-    of raising.  Level "proper" runs check_proper alone, so its cost does not
-    grow with the color values."""
+    """check_all's verdict at `level`.  Level "proper" runs check_proper
+    alone, so its cost does not grow with the color values."""
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}, expected one of {', '.join(LEVELS)}")
-    if level == "proper":
-        return check_proper(g, c)
-    proper, grundy, cd, star = check_all(g, c)
-    if not proper:
-        return proper
-    if level != "z":
-        return {"grundy": grundy, "cd": cd}[level]
-    for verdict in (grundy, cd):
-        if not verdict:
-            return verdict
-    if star is None:
-        return Verdict(False, [Violation("no-dominating-star", class_index=c.k)])
-    return Verdict(True, witness={"star": star, **cd.witness})
+    return check_proper(g, c) if level == "proper" else check_all(g, c)[level]
 
 
 def check_z(g: Graph, c: Coloring) -> Verdict:
     """Pass iff c is proper, Grundy, color-dominating, and admits a dominating
     star.  Failures come back as verdicts, never exceptions."""
-    return check_level(g, c, "z")
+    return check_all(g, c)["z"]
 
 
 def verify_star(g: Graph, c: Coloring, star: tuple[int, ...]) -> bool:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -219,6 +220,23 @@ def test_verify_output_pinned(tmp_path, capsys):
             assert (code, capsys.readouterr().out) == VERIFY_EXPECTED[name, level], (name, level)
 
 
+@pytest.mark.parametrize("star", ["star 0 0", "star 4 4 4"])
+def test_verify_z_level_checks_a_stored_star(p5_file, tmp_path, capsys, star):
+    # the record's own star must be a dominating star; lower levels ignore it
+    assert main(["color", p5_file, "--format", "record"]) == 0
+    good = capsys.readouterr().out
+    assert "star 0 1\n" in good
+    rec = tmp_path / "p5.rec"
+    rec.write_text(good)
+    assert main(["verify", p5_file, str(rec), "--level", "z"]) == 0
+    assert capsys.readouterr().out == "z: pass (k=2)\n"
+    rec.write_text(good.replace("star 0 1", star))
+    assert main(["verify", p5_file, str(rec), "--level", "z"]) == 1
+    assert capsys.readouterr().out == "violation: invalid-star\n"
+    assert main(["verify", p5_file, str(rec), "--level", "cd"]) == 0
+    assert capsys.readouterr().out == "cd: pass (k=2)\n"
+
+
 def test_verify_proper_level_reads_no_color_masks(tmp_path):
     # level proper is check_proper alone: a record whose colors run to 10**10
     # passes in O(n + m), where a neighbour-colour mask would take 10**10 bits.
@@ -426,6 +444,9 @@ def test_atoms_gen_and_bound(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+K3_ATOM = "t 3\nn 3\nedges 0-1 0-2 1-2\nk 3\ncolors 1 2 3\nstar 0 1 2\n"
+
+
 def test_atoms_bound_malformed_catalog_exits_2(tmp_path, capsys):
     star = tmp_path / "k15.col"
     star.write_text("p edge 6 5\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 1 6\n")
@@ -433,6 +454,10 @@ def test_atoms_bound_malformed_catalog_exits_2(tmp_path, capsys):
         ("empty", "", "empty catalog"),
         ("short", "zatoms t 3\n", "malformed catalog header"),
         ("bad_t", "zatoms t x triangle_free 0 count 0\n", "t must be an integer"),
+        ("atom_t", "zatoms t 3 triangle_free 0 count 1\n\n" + K3_ATOM.replace("t 3", "t 4"),
+         "atom t differs from catalog t"),
+        ("count", "zatoms t 3 triangle_free 0 count 2\n\n" + K3_ATOM,
+         "catalog declares 2 atoms, found 1"),
     ):
         catalog = tmp_path / f"{name}.catalog"
         catalog.write_text(text)
@@ -486,6 +511,18 @@ def test_bench_table_and_monotone_columns(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     counts = {row[1]: int(row[2]) for row in rows}
     assert counts["z"] <= counts["greedy"]
+    # the table: header and one row per instance, timings masked
+    assert main(["bench", str(g4), "--heuristics", "greedy,z"]) == 0
+    out = re.sub(r"\d+\.\d{3}s", "T", capsys.readouterr().out)
+    assert out == ("instance  n     m    greedy         z\n"
+                   f"g4.col    19   24   {counts['greedy']:>8}  {counts['z']:>8}   T T\n")
+    assert counts == {"greedy": 2, "z": 2}
+
+
+def test_bench_unknown_heuristic_is_usage_error(capsys):
+    assert main(["bench", "--random", "5,0.5,1", "--heuristics", "greedy,foo"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "unknown heuristic 'foo'\n")
 
 
 def test_bench_random_and_iz(capsys):

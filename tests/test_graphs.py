@@ -263,6 +263,14 @@ def test_record_checks_colors_length_before_building(monkeypatch):
     ("n 2\nedges 0-1\nk 2\ncolors 1 2\nclass 7\n", 5, "class 7 out of range 1..2"),
     ("n 2\nedges 0-1\nk 2\ncolors 1 2\nclass 0\n", 5, "class 0 out of range 1..2"),
     ("n 2\nedges 0-1\nk 2\ncolors 1 2\nclass -3\n", 5, "class -3 out of range 1..2"),
+    # blank lines are skipped but still counted
+    ("n 2\n\nedges 0-1\nk 2\ncolors 1 2\n\nclass 1 0\nclass 1 0\n", 8, "duplicate class 1"),
+    ("n 2\nedges 0-1\nk 2\ncolors 1 2\nclass\n", 5, "malformed class line"),
+    ("n 2\nedges 0-1\nn 2\nk 2\ncolors 1 2\n", 3, "duplicate field 'n'"),
+    ("k 0\nn -1\ncolors\n", 2, "negative vertex count"),
+    ("n 2\nedges 0-0\nk 1\ncolors 1 1\n", 2, "self-loop at vertex 0"),
+    ("n 2\nedges 0-2\nk 1\ncolors 1 1\n", 2, r"edge \(0,2\) out of range for n=2"),
+    ("n 2\nedges 0-1\nk 2\ncolors 0 2\n", 4, "colors must be integers >= 1"),
 ])
 def test_record_rejects_bad_class_lines(record, line, message):
     with pytest.raises(RecordError, match=f"line {line}: {message}"):

@@ -430,7 +430,7 @@ def test_finders_match_naive_enumeration_per_k():
     def check(g):
         _, b, _ = _naive_counts(g)
         for k in range(2, g.n + 2):
-            found = oracle._find_b(g, k, [0])
+            found = oracle._search(g, k, False)[0]
             assert (found is not None) == (k in b), (g.edges(), k)
             if found is not None:
                 c = Coloring(tuple(found))

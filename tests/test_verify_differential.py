@@ -18,7 +18,7 @@ from zcoloring import (
     greedy_coloring,
     is_nice_vertex,
 )
-from zcoloring.verify import check_all
+from zcoloring.verify import LEVELS, check_all
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -93,16 +93,18 @@ def test_one_pass_matches_separate_predicates(case, clash):
         colors = list(c.colors)
         colors[v] = colors[u]
         c = Coloring(tuple(colors))
-    proper, grundy, cd, star = check_all(g, c)
-    z = check_z(g, c)
+    verdicts = check_all(g, c)
+    assert tuple(verdicts) == LEVELS
+    proper, grundy, cd, z = verdicts.values()
+    assert z == check_z(g, c)
     if not check_proper(g, c):
-        assert (proper, grundy, cd, star) == (check_proper(g, c), None, None, None)
-        assert z == proper
+        assert all(v == check_proper(g, c) for v in verdicts.values())
         return
+    assert proper.passed
     assert grundy == check_grundy(g, c) and cd == check_cd(g, c)
     assert grundy.passed == (not naive_missing(g, c))
     assert cd.passed == all(naive_dominating(g, c, j) for j in range(1, c.k + 1))
-    assert star == (naive_star(g, c) if grundy and cd else None)
+    star = naive_star(g, c) if grundy and cd else None
     first_failure = next((v for v in (grundy, cd) if not v), None)
     if first_failure is not None:
         assert z == first_failure
