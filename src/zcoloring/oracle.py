@@ -24,10 +24,11 @@ with properness pruning, and the z search additionally prunes any vertex
 whose missing lower colors exceed its unassigned neighbors.  Per vertex it
 keeps the neighbour color counts and their mask (which decides properness),
 a slack (how far the vertex is from no longer being able to become
-color-dominating), the colors it may still hold as a dominating vertex, and
-its selection key, all updated in O(deg v) when v is assigned or
-unassigned, so a node's cuts and pick read those arrays instead of
-recomputing them from the neighbourhoods.
+color-dominating), the colors it may still hold as a dominating vertex,
+its selection key and, for the z search, the colors it can still take,
+all updated in O(deg v) when v is assigned or unassigned, so a node's cuts
+and pick read those arrays instead of recomputing them from the
+neighbourhoods' colors.
 The chi oracle probes target counts upward with the b search, from the size
 of a greedily grown clique, and stops at the first that admits a coloring:
 every coloring with chi colors is a b-coloring, so that target is chi.
@@ -43,8 +44,17 @@ The engine cuts a branch as soon as some class can no longer get one: no
 vertex of that color, and no uncolored vertex that may still take it, sees
 enough colors plus uncolored neighbors to reach k-1.  The z search also cuts
 a branch once its dominating star can no longer form: no vertex that may
-still become color-dominating and take color k has such neighbours that may
-still take, between them, every color of 1..k-1.  The cut subtrees hold no
+still become color-dominating and take color k has k-1 distinct such
+neighbours that may still take, between them, every color of 1..k-1.  In
+the z search both tests read which colors each vertex may still dominate
+in, narrowed by the colors its neighbours can still take: an uncolored
+vertex of a Grundy coloring needs every lower color, so with j uncolored
+neighbours it can end with one of the first j+1 colors it does not see
+yet.  A vertex with two colors of 1..k that it neither sees nor can get
+from a neighbour never dominates, and one with a single such color
+dominates only in that color.  What a neighbour can still take only shrinks down a branch, so
+every narrowed set does too, and a complete assignment passes the narrowed
+tests exactly when it passes the plain ones.  The cut subtrees hold no
 solution, so values and witnesses are those of the unpruned search; only
 `OracleResult.explored` (the count `zcolor exact --format table` prints)
 reads lower.  One acceptance rule: the same tests accept a complete
@@ -119,9 +129,10 @@ def _search(g: Graph, k: int, star: bool):
     search nodes explored.  It is a b-coloring, or with `star` a z-coloring.
 
     One loop over an explicit stack of frames [v, color tried, top,
-    max_used], one per vertex on the current branch, so the depth is bounded
-    by memory, not by the recursion limit.  Per vertex u the engine keeps,
-    updated in O(deg v) when v is assigned or unassigned:
+    max_used, take[v] before v was colored], one per vertex on the current
+    branch, so the depth is bounded by memory, not by the recursion limit.
+    Per vertex u the engine keeps, updated in O(deg v) when v is assigned or
+    unassigned:
       `cnt[u][c]`  neighbours of u with color c, and `nbc[u]` the mask of
                    colors present among them (bit c = color c), so an
                    uncolored u may take c exactly when bit c is clear;
@@ -134,7 +145,16 @@ def _search(g: Graph, k: int, star: bool):
                    none of its neighbours has; 0 once slack[u] < 0;
       `key[u]`     seen*n^2 + deg*n + (n-1-u) while uncolored, -1 once
                    colored: the largest is the most saturated vertex, with
-                   degree then lower index as deterministic tie-breaks.
+                   degree then lower index as deterministic tie-breaks;
+      `take[u]`    the colors an uncolored u can still end with in a Grundy
+                   coloring, 0 once colored: u needs every lower color, and
+                   at most un[u] missing ones can still come from its
+                   uncolored neighbours, so these are the first un[u]+1
+                   colors of 1..k none of its neighbours has.  A neighbour
+                   taking c drops c, or else the highest color once more
+                   than un[u]+1 remain; a neighbour uncolored again adds
+                   the lowest color u may take that take[u] lacks.  Only
+                   the z search reads it.
 
     Without `star` the colors are interchangeable, so a vertex takes at most
     one color not used yet.  With `star` (z mode) the colors are ordered:
@@ -143,9 +163,19 @@ def _search(g: Graph, k: int, star: bool):
 
     Every class must contain a color-dominating vertex, so a node is cut
     unless the OR of `hold` covers 1..k: every `hold` only shrinks deeper in
-    the branch.  With `star` the node is also cut unless a dominating star
-    can still form: some vertex that may still hold color k has
-    neighbours that may still hold, between them, every color of 1..k-1.
+    the branch.  With `star` a node that passes is narrowed further.  A
+    vertex u can only come to see the colors in nbc[u] or in the `take` of
+    its uncolored neighbours; if two colors of 1..k lie outside that set, u
+    can never dominate and its narrowed hold is 0, and if one does, u can
+    dominate only while holding it.  The cover test then runs again on the
+    narrowed holds, and the star test asks for some vertex whose narrowed
+    hold has color k and whose neighbours' narrowed holds cover 1..k-1 with
+    at least k-1 distinct neighbours holding some color of 1..k-1, since the
+    star's other vertices are k-1 different neighbours.  Deeper in the
+    branch a neighbour's `take` only shrinks, and a color leaves it only to
+    enter nbc[u] when that neighbour is colored, so what u can come to see
+    only shrinks, and so does every narrowed hold: a cut node has no
+    accepted assignment below it.
     A node that passes the cover test has at least as many uncolored
     vertices as empty classes, and when the two are equal each empty color is
     held by an uncolored vertex that sees every used color, so the most
@@ -156,8 +186,12 @@ def _search(g: Graph, k: int, star: bool):
     The same cuts decide a complete assignment.  There no vertex has an
     uncolored neighbour and none sees its own color, so "sees k-1 colors"
     means color-dominating: the cover test asks for a color-dominating vertex
-    in every class, and the star test for the dominating star.  With `star`
-    every vertex is also saturated, so the coloring is Grundy.
+    in every class, and the star test for the dominating star.  Every `take`
+    is 0 there, so narrowing leaves a dominating vertex its own color and
+    the star's leaves are k-1 distinct neighbours: the narrowed tests accept
+    exactly the complete assignments the plain ones do, and the first one
+    found, the witness, is unchanged.  With `star` every vertex is also
+    saturated, so the coloring is Grundy.
     """
     n = g.n
     n2 = n * n
@@ -173,6 +207,7 @@ def _search(g: Graph, k: int, star: bool):
     hold = [required if s >= 0 else 0 for s in slack]
     base = [d * n + n - 1 - u for u, d in enumerate(un)]
     key = base[:]
+    take = [required & ((1 << (d + 2)) - 2) for d in un]
     explored = 0
     stack = []
     max_used = 0
@@ -184,24 +219,44 @@ def _search(g: Graph, k: int, star: bool):
             cover |= h
         open_ = cover == required
         if open_ and star:
-            open_ = False
-            for u in range(n):
-                if hold[u] & kbit:
-                    reach = 0
+            # narrow each hold to what u can still dominate in: it can only
+            # come to see nbc[u] and its uncolored neighbours' take
+            held = [0] * n
+            cover = 0
+            for u, h in enumerate(hold):
+                if h:
+                    got = nbc[u]
                     for w in nbrs[u]:
-                        reach |= hold[w]
-                    if reach & below == below:
-                        open_ = True
-                        break
+                        got |= take[w]
+                    lack = required & ~got
+                    if lack:
+                        h = 0 if lack & (lack - 1) else h & lack
+                    held[u] = h
+                    cover |= h
+            open_ = False
+            if cover == required:
+                # a star center: k-1 distinct leaves that cover 1..k-1
+                for u in range(n):
+                    if held[u] & kbit:
+                        reach = 0
+                        leaves = 0
+                        for w in nbrs[u]:
+                            h = held[w] & below
+                            if h:
+                                reach |= h
+                                leaves += 1
+                        if reach == below and leaves >= k - 1:
+                            open_ = True
+                            break
         if open_:
             if len(stack) == n:
                 return color, explored
             v = key.index(max(key))
-            stack.append([v, 0, k if star else min(k, max_used + 1), max_used])
+            stack.append([v, 0, k if star else min(k, max_used + 1), max_used, take[v]])
         # advance the deepest frame to its next color, popping exhausted ones
         while stack:
             frame = stack[-1]
-            v, c, top, max_used = frame
+            v, c, top, max_used, v_take = frame
             if c:
                 # unassign v
                 cbit = 1 << c
@@ -219,7 +274,11 @@ def _search(g: Graph, k: int, star: bool):
                         slack[w] += 1
                         if slack[w] == 0:
                             hold[w] = 1 << color[w] if color[w] else required & ~nbc[w]
+                    if star and not color[w]:
+                        rest = required & ~nbc[w] & ~take[w]
+                        take[w] |= rest & -rest
                 color[v] = 0
+                take[v] = v_take
                 key[v] = nbc[v].bit_count() * n2 + base[v]
                 if slack[v] >= 0:
                     hold[v] = required & ~nbc[v]
@@ -235,6 +294,7 @@ def _search(g: Graph, k: int, star: bool):
             cbit = 1 << c
             color[v] = c
             key[v] = -1
+            take[v] = 0
             if slack[v] >= 0:
                 hold[v] = cbit
             ok = not star or ((cbit - 2) & ~nbc[v]).bit_count() <= un[v]
@@ -251,10 +311,16 @@ def _search(g: Graph, k: int, star: bool):
                     slack[w] -= 1
                     if slack[w] < 0:
                         hold[w] = 0
-                if star and color[w]:
-                    missing = ((1 << color[w]) - 2) & ~nbc[w]
-                    if missing.bit_count() > un[w]:
-                        ok = False
+                if star:
+                    if color[w]:
+                        missing = ((1 << color[w]) - 2) & ~nbc[w]
+                        if missing.bit_count() > un[w]:
+                            ok = False
+                    else:
+                        kept = take[w] & ~cbit
+                        if kept.bit_count() > un[w] + 1:
+                            kept ^= 1 << (kept.bit_length() - 1)
+                        take[w] = kept
             if ok:
                 if c > max_used:
                     max_used = c

@@ -10,6 +10,7 @@ from conftest import complete_graph, cycle_graph, mutated, path_graph, small_gra
 from zcoloring import (
     Coloring,
     Graph,
+    check_z,
     greedy_coloring,
     parse_coloring_record,
     parse_dimacs,
@@ -374,6 +375,19 @@ def test_exact_deep_searches_answer(tmp_path, capsys):
     path.write_text(to_dimacs(path_graph(900)))
     assert main(["exact", str(path), "--param", "gamma", "--limit", "900"]) == 0
     assert " = 3 " in capsys.readouterr().out
+
+
+def test_exact_decides_z_of_g7(tmp_path, capsys):
+    # the separation example at t = 7: z(G_7) = 3 with a verified witness,
+    # after every target 4..7 is refuted
+    g7 = tmp_path / "g7.col"
+    assert main(["family", "gen", "--name", "Gt", "--k", "7", "--out", str(g7)]) == 0
+    capsys.readouterr()
+    assert main(["exact", str(g7), "--param", "z", "--limit", "52", "--format", "record"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("param z\nvalue 3\n")
+    cg = parse_coloring_record(out.split("value 3\n", 1)[1])
+    assert check_z(parse_dimacs(g7.read_text()), cg.coloring).passed
 
 
 def test_exact_never_raises_on_fuzzed_files(tmp_path, capsys):

@@ -65,6 +65,25 @@ def test_gt_structure():
         assert set(gt.adj[lay["w"]]) == {t - 1, lay["ft_path"][0]}
 
 
+@pytest.mark.parametrize("t, most, parent_nodes", [
+    (5, 1_000, 61_247),
+    (6, 2_000, 3_248_076),
+    (7, 5_000, 44_600_000),
+    (8, 10_000, None),
+])
+def test_gt_z_number_is_three(t, most, parent_nodes):
+    # the upper end of the separation example: z(G_t) = 3 while Gamma and b
+    # grow with t, decided exactly by refuting every target 4..t.
+    # `parent_nodes` is the count before the z search cut on the colours a
+    # neighbour can still take and on distinct star leaves; at t = 7 that
+    # search was stopped after 44.6 M nodes, and t = 8 was not run
+    g = gen_Gt(t)
+    res = exact_z(g, limit_n=g.n)
+    assert res.value == 3 and check_z(g, res.witness).passed
+    assert res.explored < most
+    assert parent_nodes is None or most < parent_nodes
+
+
 def test_rk_small_cases():
     r1, r2 = gen_Rk(1), gen_Rk(2)
     assert r1.graph.n == 1 and r2.graph.n == 2

@@ -29,6 +29,7 @@ from zcoloring import (
     exact_z,
     find_z_coloring,
     gen_Ft,
+    gen_Gt,
     gen_Ht,
     gen_Ktt_minus_matching,
     gen_Tk,
@@ -325,25 +326,28 @@ def test_oracle_outputs_golden():
 def test_oracle_search_tree_pinned():
     # total work of each oracle over the hosts of test_oracle_outputs_golden
     # (subsets solved for gamma, search nodes for b and z): a change that
-    # keeps the node order keeps these sums
+    # keeps the node order keeps these sums.  z read 2178 before the z search
+    # narrowed each hold to the colours its vertex can still dominate in and
+    # asked for k-1 distinct star leaves
     rng = random.Random(2026)
     hosts = [gnp(rng.randint(1, 9), rng.choice([0.25, 0.4, 0.6, 0.8]), rng) for _ in range(60)]
     hosts += [path_graph(5), cycle_graph(6), gen_Ktt_minus_matching(4), gen_Ktt_minus_matching(5, 4),
               gen_Ht(3), gen_Ft(4)]
     totals = tuple(sum(oracle(g).explored for g in hosts) for oracle in (exact_gamma, exact_b, exact_z))
-    assert totals == (808, 980, 2178)
+    assert totals == (808, 980, 1867)
 
 
 def test_oracle_search_tree_pinned_at_atom_scale():
     # the golden hosts have at most 9 vertices; the atoms of the checked-in
-    # t=4 catalogs have up to 14, the trees `atoms gen` searches
+    # t=4 catalogs have up to 14, the trees `atoms gen` searches.  The z sums
+    # read 1645 and 3033 before the reachable-colour and distinct-leaf cuts
     totals = []
     for name in ("d4_trianglefree", "d4_full"):
         catalog = catalog_from_text((CATALOGS / f"{name}.catalog").read_text(encoding="ascii"))
         hosts = [a.cg.graph for a in catalog.atoms]
         totals.append(tuple(sum(oracle(g, limit_n=20).explored for g in hosts)
                             for oracle in (exact_b, exact_z)))
-    assert totals == [(689, 1645), (1313, 3033)]
+    assert totals == [(689, 1121), (1313, 2174)]
 
 
 def _independent_partitions(g):
@@ -527,6 +531,64 @@ def test_z_pinned_where_star_cut_fires(n, p, seed, digest, parent_nodes, most):
     assert res.value == 5
     assert hashlib.sha256(repr(res.witness.colors).encode()).hexdigest() == digest
     assert res.explored < most < parent_nodes
+
+
+def test_z_search_cuts_on_reachable_colours_and_distinct_leaves():
+    from zcoloring import oracle
+
+    # a b-colouring with 4 colours exists but no z-colouring.  The z search
+    # refuted it in 261 nodes before it narrowed each hold to the colours in
+    # which its vertex can still dominate, given the colours its neighbours
+    # can still take; that narrowing alone takes 113 nodes, the
+    # distinct-leaf star test alone 142
+    g = Graph.from_edges(11, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 6), (1, 8), (2, 3), (2, 7), (2, 9),
+                              (6, 8), (7, 9), (7, 10)])
+    assert oracle._search(g, 4, False)[0] is not None
+    assert oracle._search(g, 4, True) == (None, 14)
+    # on G_5 the b search finds 5 and 4 colours and the z search refutes
+    # both; it took 50 691 and 10 387 nodes with neither cut, 26 107 and
+    # 6 310 with the narrowed holds alone, and 634 and 481 with the
+    # distinct-leaf test alone
+    g5 = gen_Gt(5)
+    assert [oracle._search(g5, k, True) for k in (5, 4)] == [(None, 10), (None, 8)]
+
+
+def _near_trees(st, max_n):
+    """Hypothesis strategy (`st` is hypothesis.strategies): a tree on
+    2..max_n vertices, each vertex joined to an earlier one, plus up to two
+    more edges.  These are the sparse hosts, like an atom less one edge,
+    where few vertices can still take a colour and the z search narrows
+    holds most; `small_graphs` rarely draws them."""
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(2, max_n))
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        if spare:
+            edges.update(draw(st.lists(st.sampled_from(spare), max_size=2)))
+        return Graph.from_edges(n, sorted(edges))
+
+    return graphs()
+
+
+def test_z_decisions_match_naive_enumeration_on_near_trees():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(_near_trees(st, 7))
+    def check(g):
+        counts = _naive_z_counts(g)
+        for k in range(1, g.n + 2):
+            found = find_z_coloring(g, k)
+            assert (found is not None) == (k in counts), (g.edges(), k)
+            if found is not None:
+                assert found.k == k and check_z(g, found).passed
+        for t in range(2, 6):
+            assert z_reaches(g, t) == any(k >= t for k in counts), (g.edges(), t)
+
+    check()
 
 
 def test_b_and_z_searches_read_no_adjacency_masks(monkeypatch):
