@@ -219,6 +219,9 @@ def _bench_instances(args):
 
 def cmd_bench(args) -> int:
     heuristics = [h.strip() for h in args.heuristics.split(",") if h.strip()]
+    if not heuristics:
+        print(f"bench: --heuristics {args.heuristics!r} names no heuristic", file=sys.stderr)
+        return 2
     for h in heuristics:
         if h not in HEURISTICS:
             print(f"unknown heuristic {h!r}", file=sys.stderr)

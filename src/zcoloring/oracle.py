@@ -11,13 +11,17 @@ target that admits a coloring.  The b oracle starts at the m-degree bound
 the star degree bound (`star_degree_bound`), which never exceeds either,
 since the dominating star u_1..u_k of a z-coloring is a vertex of degree
 >= k-1 with k-1 neighbours of degree >= k-1.  Every z-coloring is a
-b-coloring (the star vertex of each class sees all the others), so a z probe
-runs the b search first and fails when it fails; the b search, whose colors
-are interchangeable, refutes a target far faster than the ordered z search.
-Only when a b-coloring with k colors exists does the z search run, so values
-and witnesses are those of the z search alone, and z's `explored` includes
-the nodes of the b probes.  Every oracle that probes targets does so through
-`_probe`, which owns this b-before-z policy and sums the node count.  The
+b-coloring (the star vertex of each class sees all the others), so `exact_z`
+runs the b search first at each target and fails when it fails; the b
+search, whose colors are interchangeable, refutes a target with no
+b-coloring faster than the ordered z search.  Only when a b-coloring with k
+colors exists does the z search run, so values and witnesses are those of
+the z search alone, and z's `explored` includes the nodes of the b probes.
+The decisions `find_z_coloring` and `z_reaches` run the z search alone: on
+the sparse hosts of atom generation most targets admit a b-coloring, so the
+b probe costs more than it saves there, and they report no node count.
+Every oracle that probes targets does so through `_probe`, which runs the
+searches it is given at each target in order and sums the node count.  The
 backtracking engine (`_search`) is one loop over an explicit stack of
 frames, so its depth is bounded by memory rather than the recursion limit.  It assigns vertices most-saturated-first
 with properness pruning, and the z search additionally prunes any vertex
@@ -79,8 +83,9 @@ class OracleResult:
     """An oracle's value, a witness coloring with exactly `value` colors, and
     `explored`, a count of the oracle's work: b-search nodes over the probes
     for chi, subsets solved by the recursion for gamma, search nodes for b,
-    and the b-probe nodes plus the z-search nodes for z.  `_probe`, which
-    runs the b search before the z search, sums the nodes of every probe."""
+    and the b-probe nodes plus the z-search nodes for z, since exact_z runs
+    the b search before the z search at each target.  `_probe` sums the
+    nodes of every search it runs."""
 
     value: int
     witness: Coloring
@@ -329,20 +334,25 @@ def _search(g: Graph, k: int, star: bool):
             return None, explored
 
 
-def _probe(g: Graph, targets, star: bool) -> OracleResult | None:
-    """The first k of `targets` that admits a b-coloring, or with `star` a
-    z-coloring, with the search's witness and the nodes of every probe so far
-    as `explored`; None if no target does.  Every z-coloring is a b-coloring,
-    and the b search refutes k far faster, so a z probe runs it first and
-    the z search only where it succeeds."""
+# the searches a probe runs at each target, as `_search`'s `star` flags
+_B, _Z, _B_THEN_Z = (False,), (True,), (False, True)
+
+
+def _probe(g: Graph, targets, searches) -> OracleResult | None:
+    """The first k of `targets` at which every search of `searches` finds a
+    coloring, with the last search's witness and the nodes of every search
+    so far as `explored`; None if no target passes.  At each target the
+    searches run in order, each only where the one before it succeeds.
+    Every z-coloring is a b-coloring, so `_B_THEN_Z` answers as `_Z` does;
+    it only changes which search refutes a target, and so `explored`."""
     explored = 0
     for k in targets:
-        found, nodes = _search(g, k, False)
-        explored += nodes
-        if found is not None and star:
-            found, nodes = _search(g, k, True)
+        for star in searches:
+            found, nodes = _search(g, k, star)
             explored += nodes
-        if found is not None:
+            if found is None:
+                break
+        else:
             return OracleResult(k, Coloring(tuple(found)), explored)
     return None
 
@@ -505,7 +515,7 @@ def exact_chi(g: Graph, limit_n: int = 12) -> OracleResult:
     exists at all, so the first k the b search answers is chi, and its
     coloring, a b-coloring, is the witness."""
     check_limit(g.n, limit_n, "exact_chi")
-    return _probe(g, itertools.count(_greedy_clique(g)), False)
+    return _probe(g, itertools.count(_greedy_clique(g)), _B)
 
 
 def exact_gamma(g: Graph, limit_n: int = 12) -> OracleResult:
@@ -520,28 +530,30 @@ def exact_gamma(g: Graph, limit_n: int = 12) -> OracleResult:
 def exact_b(g: Graph, limit_n: int = 12) -> OracleResult:
     """Maximum colors of any color-dominating (b-) coloring."""
     check_limit(g.n, limit_n, "exact_b")
-    return _probe(g, range(m_degree_bound(g), 1, -1), False) or _edgeless(g)
+    return _probe(g, range(m_degree_bound(g), 1, -1), _B) or _edgeless(g)
 
 
 def exact_z(g: Graph, limit_n: int = 14) -> OracleResult:
     """Maximum colors of any z-coloring; 1 for edgeless graphs.  Targets are
-    probed downward from `star_degree_bound(g)`."""
+    probed downward from `star_degree_bound(g)`, each by the b search first:
+    on the dense hosts it is run on, most targets above z have no
+    b-coloring, and the b search refutes those faster than the z search."""
     check_limit(g.n, limit_n, "exact_z")
-    return _probe(g, range(star_degree_bound(g), 1, -1), True) or _edgeless(g)
+    return _probe(g, range(star_degree_bound(g), 1, -1), _B_THEN_Z) or _edgeless(g)
 
 
 def find_z_coloring(g: Graph, k: int) -> Coloring | None:
     """Exact decision: some z-coloring with exactly k colors, or None.
 
     A k above `star_degree_bound(g)` is refuted before the search sizes its
-    tables by k, and a k with no b-coloring by the b search alone.  At k = 1
+    tables by k; any other k is decided by the z search alone.  At k = 1
     the search finds the all-ones coloring exactly when g is edgeless and
     nonempty."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > star_degree_bound(g):
         return None
-    result = _probe(g, (k,), True)
+    result = _probe(g, (k,), _Z)
     return result.witness if result is not None else None
 
 
@@ -550,10 +562,11 @@ def z_reaches(g: Graph, t: int) -> bool:
 
     Every target count from t up to `star_degree_bound(g)` is searched,
     since z-colorings do not interpolate (K_n admits only the n-coloring).
-    Each target is first probed by the b search, and one with no b-coloring
-    is refuted there; the z search then cuts every branch where the
-    dominating star can no longer form.
+    Each target is decided by the z search alone, which cuts every branch
+    where the dominating star can no longer form.  On the sparse hosts of
+    atom generation most targets do admit a b-coloring, so a b probe first
+    would cost more nodes than it saves.
     """
     if t <= 1:
         return g.n >= t
-    return _probe(g, range(t, star_degree_bound(g) + 1), True) is not None
+    return _probe(g, range(t, star_degree_bound(g) + 1), _Z) is not None

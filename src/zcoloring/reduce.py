@@ -11,13 +11,14 @@ augmentations, and `iterated_z` re-runs the pipeline over permuted class
 orders keeping the best result.
 
 `grundy_reduce` is first-fit along its input's classes, so it needs no
-state of its own.  The other stages, and the Grundy scan inside each z
-round, read "which colors does v see" off one table (`_ColorCounts`),
-updated in O(deg v) per moved vertex.  The table holds each vertex's
-neighbour-color mask from the start, and its per-color neighbour counts
-only once a single-vertex move needs them: a z round's recoloring and
-Grundy scan do, the CD stage does not, since it dissolves whole
-independent classes, which only add bits to the masks.  So
+state of its own.  First-fit (`_first_fit`) builds "which colors does v
+see" as it colors, in the same sweep of the adjacency.  The other stages,
+and the Grundy scan inside each z round, read those masks off one table
+(`_ColorCounts`), updated in O(deg v) per moved vertex.  The table holds
+each vertex's neighbour-color mask from the start, and its per-color
+neighbour counts only once a single-vertex move needs them: a z round's
+recoloring and Grundy scan do, the CD stage does not, since it dissolves
+whole independent classes, which only add bits to the masks.  So
 `cd_gcd_transform` never builds the counts, and `z_transform` builds them
 at its first round, if it has one.  Every class a stage empties is deleted
 through the table (`_ColorCounts.delete`) as soon as the stage sees it
@@ -30,12 +31,15 @@ empty.  Where the checks run:
   on its masks: length, properness and the Grundy property, and
   color-domination for `z_transform`.  Then they run their private body
   (`_cd`, `_z`) on that table;
-- `z_heuristic` runs the public `cd_gcd_transform` on the greedy coloring,
-  which is Grundy already (first-fit gives every vertex the least color its
-  earlier neighbours miss, so `grundy_reduce` would move nothing), then the
-  public `z_transform`: each stage runs once, through its entry check;
+- `z_heuristic` runs `_cd` and then `_z` on one table, built from the
+  greedy coloring and the masks first-fit built with it, so the adjacency is
+  swept once per call.  The greedy coloring is Grundy already (first-fit
+  gives every vertex the least color its earlier neighbours miss, so
+  `grundy_reduce` would move nothing).  Before each stage, its entry checks
+  (properness and Grundy, and color-domination before `_z`) are read off
+  the shared masks in O(n), with the public stage's ValueError;
 - inside each z round the properness and Grundy checks that precede `_grundy`
-  and `_cd` are read off the masks in O(n), with the same ValueError;
+  and `_cd` are read off the masks in the same way;
 - callers that publish a coloring (the CLI) verify it independently with
   `verify.check_all`.
 """
@@ -64,22 +68,39 @@ class ReductionTrace:
 def greedy_coloring(g: Graph, order=None) -> Coloring:
     """First-fit coloring along `order` (default 0..n-1): each vertex takes the
     smallest color absent from its already-colored neighbors.  The result
-    always has the Grundy property and uses at most max_degree+1 colors."""
+    always has the Grundy property and uses at most max_degree+1 colors.
+    These are the colors of `_first_fit`, the one first-fit of the package,
+    which z_heuristic runs for their masks as well."""
+    return Coloring(tuple(_first_fit(g, order)[0]))
+
+
+def _first_fit(g: Graph, order) -> tuple[list[int], list[int]]:
+    """greedy_coloring's colors and their neighbour-color masks, in one sweep
+    of the adjacency: a vertex that takes color c ORs bit c into each
+    neighbour's mask, so when v's turn comes its mask holds exactly the
+    colors of its colored neighbours, and at the end every mask is
+    verify.neighbor_colors of the result."""
     if order is None:
         order = range(g.n)
     order = list(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
+    adj = g.adj
     colors = [0] * g.n
+    nbc = [0] * g.n
     for v in order:
-        colors[v] = least_absent(colors_seen(g.adj[v], colors))
-    return Coloring(tuple(colors))
+        colors[v] = col = least_absent(nbc[v])
+        bit = 1 << col
+        for w in adj[v]:
+            nbc[w] |= bit
+    return colors, nbc
 
 
 class _ColorCounts:
     """Which colors each vertex sees, for a coloring that changes only by
     `move`, `dissolve` and `delete`: nbc[v] is verify.neighbor_colors of the
-    current coloring, built with the table, and cnt[v][c] is the number of
+    current coloring, built with the table unless the caller passes those
+    masks (`nbc`, which the table then owns), and cnt[v][c] is the number of
     neighbors of v with color c (bit c of nbc[v] set iff cnt[v][c] > 0).
     The counts exist only once a single-vertex move needs them: `cnt` is
     built from the current coloring when first read, then kept up to date.
@@ -87,13 +108,13 @@ class _ColorCounts:
     entries: O(n + m) for a Grundy coloring, whose k is at most
     max_degree+1."""
 
-    def __init__(self, g: Graph, colors):
+    def __init__(self, g: Graph, colors, nbc=None):
         if len(colors) != g.n:
             raise ValueError(f"coloring covers {len(colors)} vertices, graph has {g.n}")
         self.adj = g.adj
         self.colors = colors = list(colors)
         self.k = max(colors, default=0)
-        self.nbc = neighbor_colors(g, colors)
+        self.nbc = neighbor_colors(g, colors) if nbc is None else nbc
 
     @functools.cached_property
     def cnt(self) -> list[list[int]]:
@@ -158,6 +179,10 @@ class _ColorCounts:
     def require_grundy(self, caller: str) -> None:
         if any(~mask & ((1 << col) - 2) for mask, col in zip(self.nbc, self.colors)):
             raise ValueError(f"{caller} requires a Grundy coloring")
+
+    def require_cd(self, caller: str) -> None:
+        if len(cd_witnesses(self.colors, cd_flags(self.colors, self.nbc, self.k))) < self.k:
+            raise ValueError(f"{caller} requires a color-dominating coloring")
 
 
 def _grundy_table(g: Graph, c: Coloring, caller: str) -> _ColorCounts:
@@ -272,8 +297,7 @@ def z_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     class shrinks every round, so rounds are bounded by n.
     """
     table = _grundy_table(g, c, "z_transform")
-    if len(cd_witnesses(table.colors, cd_flags(table.colors, table.nbc, table.k))) < table.k:
-        raise ValueError("z_transform requires a color-dominating coloring")
+    table.require_cd("z_transform")
     trace = ReductionTrace()
     trace.iterations = _z(table, trace.moves)
     return Coloring(tuple(table.colors)), trace
@@ -317,10 +341,23 @@ def z_heuristic(g: Graph, seed_order=None) -> tuple[Coloring, ReductionTrace]:
     """Full pipeline from scratch: greedy over `seed_order`, then the
     color-dominating and z refinements; the greedy coloring is Grundy, so
     the Grundy stage would move nothing.  Output passes check_z and uses at
-    most max_degree+1 colors."""
-    c, tr2 = cd_gcd_transform(g, greedy_coloring(g, seed_order))
-    c, tr3 = z_transform(g, c)
-    return c, ReductionTrace(tr2.moves + tr3.moves, tr3.iterations)
+    most max_degree+1 colors.
+
+    The result and trace are those of cd_gcd_transform then z_transform on
+    greedy_coloring(g, seed_order), computed on one table: first-fit builds
+    the masks as it colors, and `_cd` then `_z` run on them.  Each stage's
+    entry check runs on those masks in O(n), with the stage's ValueError."""
+    colors, nbc = _first_fit(g, seed_order)
+    table = _ColorCounts(g, colors, nbc)
+    table.require_proper("cd_gcd_transform")
+    table.require_grundy("cd_gcd_transform")
+    moves = []
+    _cd(table, moves)
+    table.require_proper("z_transform")
+    table.require_grundy("z_transform")
+    table.require_cd("z_transform")
+    rounds = _z(table, moves)
+    return Coloring(tuple(table.colors)), ReductionTrace(moves, rounds)
 
 
 def complementary(g: Graph, c: Coloring, budget: int = 1000, rng_seed: int = 0) -> Coloring:

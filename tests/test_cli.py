@@ -433,10 +433,11 @@ def test_color_table_builds_no_record_it_does_not_write(p5_file, monkeypatch, ca
 
 
 def test_color_reports_z_transform_failure_in_one_line(p5_file, monkeypatch, capsys):
-    def stuck(g, c):
+    def stuck(table, moves):
         raise RuntimeError("z_transform failed to converge")
 
-    monkeypatch.setattr(reduce, "z_transform", stuck)
+    # the round guard lives in the z rounds, which z_heuristic runs directly
+    monkeypatch.setattr(reduce, "_z", stuck)
     for extra in ([], ["--heuristic", "iz"], ["--budget", "5"], ["--format", "record"]):
         assert main(["color", p5_file, *extra]) == 1
         captured = capsys.readouterr()
@@ -537,6 +538,14 @@ def test_bench_unknown_heuristic_is_usage_error(capsys):
     assert main(["bench", "--random", "5,0.5,1", "--heuristics", "greedy,foo"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "unknown heuristic 'foo'\n")
+
+
+def test_bench_without_heuristics_is_usage_error(capsys):
+    # a list of blanks and commas would print a header with no columns
+    for spec in ("", ",", " , "):
+        assert main(["bench", "--random", "5,0.5,1", "--heuristics", spec]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"bench: --heuristics {spec!r} names no heuristic\n")
 
 
 def test_bench_random_and_iz(capsys):

@@ -606,3 +606,36 @@ def test_b_and_z_searches_read_no_adjacency_masks(monkeypatch):
         assert find_z_coloring(g, z.value + 1) is None
         if g.n:
             assert find_z_coloring(g, z.value) == z.witness
+
+
+def test_z_decisions_run_the_z_search_alone(monkeypatch):
+    # find_z_coloring and z_reaches run no b probe; exact_z still does, and
+    # the answers and witnesses are those of the b-then-z probe
+    from zcoloring import oracle
+
+    searches = []
+    search = oracle._search
+
+    def spy(g, k, star):
+        searches.append(star)
+        return search(g, k, star)
+
+    rng = random.Random(48)
+    hosts = [gnp(rng.randint(2, 9), rng.choice([0.2, 0.4, 0.7]), rng) for _ in range(25)]
+    hosts += [gen_Gt(4), path_graph(6), complete_graph(4)]
+    for g in hosts:
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_search", spy)
+            found = [find_z_coloring(g, k) for k in range(1, g.n + 1)]
+            reaches = [z_reaches(g, t) for t in range(2, 6)]
+        assert all(searches), g.edges()
+        searches.clear()
+        for k, witness in enumerate(found, start=1):
+            b_first = oracle._probe(g, (k,), oracle._B_THEN_Z) if k <= star_degree_bound(g) else None
+            assert witness == (b_first.witness if b_first else None)
+        for t, reached in zip(range(2, 6), reaches):
+            assert reached == (oracle._probe(g, range(t, star_degree_bound(g) + 1), oracle._B_THEN_Z) is not None)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_search", spy)
+        exact_z(gen_Gt(4), limit_n=19)
+    assert searches[0] is False

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import pathlib
 import random
@@ -418,6 +419,59 @@ def test_z_heuristic_is_the_composed_stages():
         assert c == c3
         assert trace.moves == tr1.moves + tr2.moves + tr3.moves
         assert trace.iterations == tr3.iterations
+
+
+def test_first_fit_builds_the_masks_and_z_heuristic_one_table(monkeypatch):
+    # first-fit ORs each vertex's new color into its neighbours' masks: its
+    # colors are those of a pull-style first-fit, its masks those built from
+    # scratch, and z_heuristic runs both stages on that one table without
+    # building masks of its own
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from zcoloring import reduce, verify
+
+    mask_builds, tables = [], []
+
+    def count_masks(g, colors):
+        mask_builds.append(g)
+        return neighbor_colors(g, colors)
+
+    init = _ColorCounts.__init__
+
+    def spy(table, *args):
+        init(table, *args)
+        tables.append(table)
+
+    for module in (verify, reduce):
+        monkeypatch.setattr(module, "neighbor_colors", count_masks)
+    monkeypatch.setattr(_ColorCounts, "__init__", spy)
+
+    def pull_first_fit(g, order):
+        colors = [0] * g.n
+        for v in order:
+            seen = {colors[w] for w in g.adj[v]}
+            colors[v] = next(col for col in itertools.count(1) if col not in seen)
+        return colors
+
+    @st.composite
+    def cases(draw):
+        g = draw(small_graphs(st, 10))
+        return g, draw(st.permutations(range(g.n)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        g, order = case
+        colors, nbc = reduce._first_fit(g, order)
+        assert colors == pull_first_fit(g, order)
+        assert greedy_coloring(g, order).colors == tuple(colors)
+        assert nbc == neighbor_colors(g, colors)
+        mask_builds.clear()
+        tables.clear()
+        z_heuristic(g, order)
+        assert mask_builds == [] and len(tables) == 1
+
+    check()
 
 
 def test_z_heuristic_k1():
