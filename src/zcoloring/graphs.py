@@ -5,10 +5,12 @@ parsing boundary.  Colors are 1-based everywhere, so a coloring with k colors
 uses the classes 1..k.
 
 Both boundaries work in bulk passes.  A DIMACS body of plain "e u v" lines is
-checked by one regular expression and converted by `split` and `map`; any
-other body, and any body the graph would reject, goes through a line-by-line
-reader, which is the error path and names the offending line.  Adjacency is
-built in lists, and the coloring record is joined from vertex names made once.
+checked by one regular expression and split into tokens, and its endpoints go
+through one index of the distinct vertex names, so each name is converted to
+an integer once; any other body, and any body the graph would reject, goes
+through a line-by-line reader, which is the error path and names the
+offending line.  Adjacency is built in lists, and the coloring record is
+joined from vertex names made once, one string per vertex for its edges.
 """
 
 from __future__ import annotations
@@ -239,17 +241,26 @@ def _edge_chunks(text, start):
     trailing whitespace: one iterator of pairs per run of lines about _CHUNK
     characters long, so the pattern's backtracking state and the tokens are
     held for one run at a time.  Raises ValueError at the first run that
-    _EDGE_LINES rejects."""
+    _EDGE_LINES rejects, or at a token `int` rejects.
+
+    Endpoints go through one index of the distinct tokens seen so far, so
+    `int` runs once per vertex name rather than once per endpoint.  The
+    index holds only names that appear in the body; token "0" maps to -1,
+    which Graph.from_edges rejects as out of range."""
     stop = len(text)
     while stop > start and text[stop - 1].isspace():
         stop -= 1
+    index = {}
     while start < stop:
         end = text.find("\n", start + _CHUNK, stop) + 1 or stop
         if not _EDGE_LINES.fullmatch(text, start, end):
             raise ValueError("not a body of plain edge lines")
         tokens = text[start:end].split()
-        yield zip(map(_minus_one, map(int, tokens[1::3])), map(_minus_one, map(int, tokens[2::3])))
-        del tokens
+        heads, tails = tokens[1::3], tokens[2::3]
+        new = set(heads).union(tails).difference(index)
+        index.update(zip(new, map(_minus_one, map(int, new))))
+        yield zip(map(index.__getitem__, heads), map(index.__getitem__, tails))
+        del tokens, heads, tails
         start = end
 
 
@@ -322,11 +333,15 @@ def serialize_coloring(g: Graph, c: Coloring, star: tuple[int, ...] | None = Non
     if c.n != g.n:
         raise ValueError("coloring size does not match graph")
     names = list(map(str, range(g.n)))
-    edges = []
+    edges = ["edges"]
     for u, nbrs in enumerate(g.adj):
-        # the neighbours past u, each edge named once from its lower end
-        edges.extend(map((names[u] + "-").__add__, map(names.__getitem__, nbrs[bisect_right(nbrs, u):])))
-    lines = [f"n {g.n}", " ".join(["edges", *edges]), f"k {c.k}", " ".join(["colors", *map(str, c.colors)])]
+        # one string per vertex for the edges to its higher neighbours, so
+        # each edge is named once, from its lower end: "u-v u-w ..."
+        higher = nbrs[bisect_right(nbrs, u):]
+        if higher:
+            pre = names[u] + "-"
+            edges.append(pre + (" " + pre).join(map(names.__getitem__, higher)))
+    lines = [f"n {g.n}", " ".join(edges), f"k {c.k}", " ".join(["colors", *map(str, c.colors)])]
     for j, cls in enumerate(c.classes(), start=1):
         lines.append(f"class {j} " + " ".join(map(names.__getitem__, cls)))
     if star is not None:

@@ -757,3 +757,17 @@ def test_color_verify_bound_never_raise_on_fuzzed_files(cli_files, tmp_path, cap
             assert code in (0, 1, 2), (argv, data)
 
     check()
+
+
+def test_python_m_zcoloring_runs_the_cli(tmp_path, p5_file, capsys):
+    # `python -m zcoloring` prints what cli.main prints and exits with its code
+    bad = tmp_path / "bad.col"
+    bad.write_text("p edge 2 1\ne 1 5\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv in (["color", p5_file, "--format", "record"], ["color", str(bad)]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        done = subprocess.run([sys.executable, "-m", "zcoloring", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert code == 2 and "line 2" in err

@@ -10,6 +10,9 @@ from zcoloring import (
     Graph,
     a_sequence,
     attach_leaves,
+    check_cd,
+    check_grundy,
+    check_proper,
     check_z,
     exact_b,
     exact_z,
@@ -19,10 +22,12 @@ from zcoloring import (
     gen_Ktt_minus_matching,
     gen_Rk,
     gen_Tk,
+    greedy_coloring,
     is_colored_isomorphic,
 )
 from zcoloring.canon import canonical_certificate
 from zcoloring.families import ft_layout, gt_layout
+from zcoloring.oracle import _search
 from zcoloring.randgraphs import random_tree
 
 
@@ -82,6 +87,30 @@ def test_gt_z_number_is_three(t, most, parent_nodes):
     assert res.value == 3 and check_z(g, res.witness).passed
     assert res.explored < most
     assert parent_nodes is None or most < parent_nodes
+
+
+@pytest.mark.parametrize("t", range(3, 11))
+def test_gt_grundy_number_is_at_least_t_plus_one(t):
+    # the lower end for Gamma in closed form: first-fit along a_1, b_1, ...,
+    # a_t, b_t gives a_i and b_i color i for i < t (a_i b_i is a removed
+    # matching edge), then a_t color t and b_t color t+1; the rest of G_t
+    # follows in index order and stays below t+1
+    g = gen_Gt(t)
+    order = [v for i in range(t) for v in (i, t + i)] + list(range(2 * t, g.n))
+    c = greedy_coloring(g, order)
+    assert c.k == t + 1 and check_grundy(g, c).passed
+
+
+@pytest.mark.parametrize("t", range(3, 9))
+def test_gt_b_number_is_at_least_t(t):
+    # the lower end for b, by search: b is not monotone under induced
+    # subgraphs, so the b-coloring must cover all of G_t (1 342 nodes at t = 8)
+    g = gen_Gt(t)
+    colors, nodes = _search(g, t, False)
+    c = Coloring(tuple(colors))
+    assert c.k == t and c.is_normalized()
+    assert check_proper(g, c).passed and check_cd(g, c).passed
+    assert nodes <= 2_000
 
 
 def test_rk_small_cases():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import mutated, small_graphs
+from conftest import complete_graph, cycle_graph, mutated, path_graph, small_graphs
 
 from zcoloring import (
     ColoredGraph,
@@ -18,6 +18,7 @@ from zcoloring import (
     serialize_colored_graph,
     to_dimacs,
 )
+from zcoloring import graphs
 from zcoloring.graphs import MAX_ORDER
 from zcoloring.randgraphs import gnp
 
@@ -98,6 +99,11 @@ def test_from_edges_rejects_loops_and_range():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
+    # the DIMACS index maps token "0" to -1; only this range test keeps
+    # Python's negative indexing from taking it as vertex n-1
+    for edge in [(-1, 0), (0, -3)]:
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges(3, [edge])
 
 
 def test_graph_helpers():
@@ -407,6 +413,60 @@ def test_read_dimacs_matches_a_plain_line_reader():
         assert got == want, text
 
     check()
+
+
+def test_canonical_texts_take_the_bulk_path(monkeypatch):
+    # every output is the same whichever reader runs, so only this spy sees
+    # a canonical body dropping to the line reader: it must get the header
+    # (comments and the problem line) and never an edge line
+    seen = []
+    read_lines = graphs._read_lines
+
+    def spy(text, check_n):
+        seen.append(text)
+        return read_lines(text, check_n)
+
+    monkeypatch.setattr(graphs, "_read_lines", spy)
+    hosts = [Graph.from_edges(0, []), Graph.from_edges(3, []), path_graph(2), path_graph(9),
+             cycle_graph(12), complete_graph(30), gnp(60, 0.3, random.Random(3)),
+             gnp(1000, 0.01, random.Random(5))]
+    assert len(to_dimacs(hosts[-1])) > 2 * graphs._CHUNK
+    for g in hosts:
+        seen.clear()
+        assert parse_dimacs(to_dimacs(g)) == g
+        assert seen and not any(line.startswith("e") for text in seen for line in text.splitlines())
+
+
+@pytest.mark.parametrize(
+    "line,want",
+    [
+        ("e 0 1", "line 4: vertex index out of range in 'e 0 1'"),
+        ("e 01 2", None),  # the body names vertex 1 as "1" too
+        ("e 1 7", "line 4: vertex index out of range in 'e 1 7'"),
+        ("e 1 " + "9" * 5000, "line 4: malformed edge line"),  # past int's digit limit
+        ("e 2 1", None),  # e 1 2 is in the body as well
+    ],
+    ids=["zero", "leading-zero", "n-plus-one", "5000-digits", "both-orientations"],
+)
+def test_bulk_tokens_match_the_line_reader(line, want):
+    # one odd line in an otherwise canonical body; the bulk path must give
+    # the line reader's graph or its error text
+    body = ["p edge 6 5", "e 1 2", "e 2 3", line, "e 3 4", "e 4 5", "e 5 6", "e 1 6"]
+    text = "\n".join(body) + "\n"
+    try:
+        n, comments, edges = graphs._read_lines(text, None)
+        expected = Graph.from_edges(n, edges), comments
+    except DimacsError as exc:
+        expected = str(exc)
+    try:
+        got = read_dimacs(text)
+    except DimacsError as exc:
+        got = str(exc)
+    assert got == expected
+    if want is None:
+        assert got[0].m == 6
+    else:
+        assert got.startswith(want)
 
 
 def reference_record(g, c, star):
