@@ -257,16 +257,14 @@ def _degree_masks(g: Graph, top: int) -> list[int]:
     return deg_ok
 
 
-def embed(atom: ColoredGraph, target: Graph) -> Embedding | None:
+def embed(atom: ColoredGraph, target: Graph, adj: list[int] | None = None,
+          deg_ok: list[int] | None = None) -> Embedding | None:
     """Complete backtracking search for an embedding of the colored atom into
-    the (uncolored) target; None when none exists."""
-    return _embed(atom, target, target.adjacency_masks(), _degree_masks(target, atom.graph.max_degree()))
-
-
-def _embed(atom: ColoredGraph, target: Graph, adj: list[int], deg_ok: list[int]) -> Embedding | None:
-    """embed() on precomputed host masks: adj[u] is the neighborhood of
-    target vertex u and deg_ok[d] the target vertices of degree >= d, for d
-    up to at least the atom's largest degree.
+    the (uncolored) target; None when none exists.  The host masks are
+    computed here unless the caller passes them (for many atoms on one
+    host): adj[u] is the neighborhood of target vertex u and deg_ok[d] the
+    target vertices of degree >= d, for d up to at least the atom's largest
+    degree.
 
     Atom vertices are placed in a fixed order, each next to an already placed
     neighbor where one exists.  A level's candidates are one bitmask: free
@@ -283,6 +281,10 @@ def _embed(atom: ColoredGraph, target: Graph, adj: list[int], deg_ok: list[int])
         return None
     if nh == 0:
         return Embedding(())
+    if adj is None:
+        adj = target.adjacency_masks()
+    if deg_ok is None:
+        deg_ok = _degree_masks(target, h.max_degree())
 
     order: list[int] = []
     placed = set()
@@ -346,7 +348,7 @@ def prove_upper_bound(g: Graph, t: int, catalog: AtomCatalog) -> Verdict:
     adj = g.adjacency_masks()
     deg_ok = _degree_masks(g, max((a.cg.graph.max_degree() for a in catalog.atoms), default=0))
     for idx, atom in enumerate(catalog.atoms):
-        emb = _embed(atom.cg, g, adj, deg_ok)
+        emb = embed(atom.cg, g, adj, deg_ok)
         if emb is not None:
             return Verdict(
                 False,

@@ -213,7 +213,11 @@ def _bench_instances(args):
         # gnp draws once per vertex pair, whatever p is
         if n > 1 and n * (n - 1) // 2 > MAX_ORDER:
             raise ValueError(f"bench: --random {spec}: {n} vertices have more than {MAX_ORDER} pairs")
-        instances.append((f"gnp-{n}-{p}-{seed}", gnp(n, p, random.Random(seed))))
+        try:
+            g = gnp(n, p, random.Random(seed))
+        except ValueError as err:
+            raise ValueError(f"bench: --random {spec}: {err}") from None
+        instances.append((f"gnp-{n}-{p}-{seed}", g))
     return instances
 
 

@@ -22,24 +22,22 @@ whole independent classes, which only add bits to the masks.  So
 `cd_gcd_transform` never builds the counts, and `z_transform` builds them
 at its first round, if it has one.  Every class a stage empties is deleted
 through the table (`_ColorCounts.delete`) as soon as the stage sees it
-empty.  Where the checks run:
+empty.  `z_heuristic` runs `_cd` then `_z` on one table, built from
+first-fit's colors and masks, so it sweeps the adjacency once per call; it
+skips `grundy_reduce`, which would move nothing, since first-fit gives every
+vertex the least color its earlier neighbours miss.  The public stages and
+`z_heuristic` each hand their table to `_run`, which runs the bodies on it
+in order.  Where the checks run, one place each:
 
 - `grundy_reduce` checks length and properness with `verify.check_proper`;
 - `cd_gcd_transform` and `z_transform` refuse an input with more than
   max_degree+1 colors, which cannot be Grundy, before building anything;
-  otherwise they build a fresh table from their input and check the input
-  on its masks: length, properness and the Grundy property, and
-  color-domination for `z_transform`.  Then they run their private body
-  (`_cd`, `_z`) on that table;
-- `z_heuristic` runs `_cd` and then `_z` on one table, built from the
-  greedy coloring and the masks first-fit built with it, so the adjacency is
-  swept once per call.  The greedy coloring is Grundy already (first-fit
-  gives every vertex the least color its earlier neighbours miss, so
-  `grundy_reduce` would move nothing).  Before each stage, its entry checks
-  (properness and Grundy, and color-domination before `_z`) are read off
-  the shared masks in O(n), with the public stage's ValueError;
-- inside each z round the properness and Grundy checks that precede `_grundy`
-  and `_cd` are read off the masks in the same way;
+- the table checks the length of the coloring it is built from;
+- each body checks its own input at its top, on the table's masks in O(n),
+  with its public stage's ValueError: `_grundy` properness, `_cd`
+  properness and the Grundy property in one pass, `_z` those and
+  color-domination.  So the checks run wherever a body is entered: from its
+  public stage, from `z_heuristic` and from each z round;
 - callers that publish a coloring (the CLI) verify it independently with
   `verify.check_all`.
 """
@@ -177,7 +175,11 @@ class _ColorCounts:
             raise ValueError(f"{caller} requires a proper coloring")
 
     def require_grundy(self, caller: str) -> None:
-        if any(~mask & ((1 << col) - 2) for mask, col in zip(self.nbc, self.colors)):
+        """Properness and the Grundy property in one pass over the masks: v
+        sees every color below its own and not its own.  Only on failure is
+        properness checked apart, so an improper input gets that error."""
+        if any(mask & ((2 << col) - 2) != (1 << col) - 2 for mask, col in zip(self.nbc, self.colors)):
+            self.require_proper(caller)
             raise ValueError(f"{caller} requires a Grundy coloring")
 
     def require_cd(self, caller: str) -> None:
@@ -186,15 +188,21 @@ class _ColorCounts:
 
 
 def _grundy_table(g: Graph, c: Coloring, caller: str) -> _ColorCounts:
-    """The table of c, once c is known to be proper and Grundy.  A Grundy
+    """The table of c for a stage that needs a Grundy input.  A Grundy
     coloring uses at most max_degree+1 colors, so a larger k is refused
-    before the n(k+1) table is built."""
+    before the n(k+1) table is built; the stage body checks the rest."""
     if c.k > g.max_degree() + 1:
         raise ValueError(f"{caller} requires a {'Grundy' if check_proper(g, c) else 'proper'} coloring")
-    table = _ColorCounts(g, c.colors)
-    table.require_proper(caller)
-    table.require_grundy(caller)
-    return table
+    return _ColorCounts(g, c.colors)
+
+
+def _run(table: _ColorCounts, *bodies) -> tuple[Coloring, ReductionTrace]:
+    """Run the stage bodies in order on one table; the trace holds all their
+    moves and the last body's count."""
+    moves = []
+    for body in bodies:
+        count = body(table, moves)
+    return Coloring(tuple(table.colors)), ReductionTrace(moves, count)
 
 
 def grundy_reduce(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
@@ -226,9 +234,11 @@ def grundy_reduce(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
 
 
 def _grundy(table: _ColorCounts, moves: list) -> None:
-    """The Grundy scan of a z round, on a proper coloring in `table`: classes
-    bottom-up, each vertex missing a lower color moved to the least such
-    one, emptied classes deleted; appends the moves."""
+    """The Grundy scan of a z round, on the coloring in `table`, which it
+    first checks is proper: classes bottom-up, each vertex missing a lower
+    color moved to the least such one, emptied classes deleted; appends the
+    moves."""
+    table.require_proper("grundy_reduce")
     colors, nbc = table.colors, table.nbc
     classes = [[] for _ in range(table.k)]
     for v, col in enumerate(colors):
@@ -262,15 +272,14 @@ def cd_gcd_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     The scan goes all the way down to class 1: stopping at class 2 can leave
     class 1 without a CD vertex (e.g. the 4-path colored 1,3,2,1).
     """
-    table = _grundy_table(g, c, "cd_gcd_transform")
-    trace = ReductionTrace()
-    trace.iterations = _cd(table, trace.moves)
-    return Coloring(tuple(table.colors)), trace
+    return _run(_grundy_table(g, c, "cd_gcd_transform"), _cd)
 
 
 def _cd(table: _ColorCounts, moves: list) -> int:
-    """cd_gcd_transform's scan on a Grundy coloring in `table`; appends the
-    moves and returns the number of class checks."""
+    """cd_gcd_transform's scan on the coloring in `table`, which it first
+    checks is proper and Grundy; appends the moves and returns the number
+    of class checks."""
+    table.require_grundy("cd_gcd_transform")
     colors, nbc = table.colors, table.nbc
     iterations = 0
     while table.k > 2:
@@ -296,16 +305,15 @@ def z_transform(g: Graph, c: Coloring) -> tuple[Coloring, ReductionTrace]:
     both reductions on the refined classes.  Either the class count or the top
     class shrinks every round, so rounds are bounded by n.
     """
-    table = _grundy_table(g, c, "z_transform")
-    table.require_cd("z_transform")
-    trace = ReductionTrace()
-    trace.iterations = _z(table, trace.moves)
-    return Coloring(tuple(table.colors)), trace
+    return _run(_grundy_table(g, c, "z_transform"), _z)
 
 
 def _z(table: _ColorCounts, moves: list) -> int:
-    """z_transform's rounds on a Grundy + CD coloring in `table`; appends the
-    moves and returns the number of rounds."""
+    """z_transform's rounds on the coloring in `table`, which it first checks
+    is proper, Grundy and CD; appends the moves and returns the number of
+    rounds."""
+    table.require_grundy("z_transform")
+    table.require_cd("z_transform")
     adj, colors, nbc = table.adj, table.colors, table.nbc
     rounds = 0
     t = table.k
@@ -325,9 +333,7 @@ def _z(table: _ColorCounts, moves: list) -> int:
         for v, _old, new in recolored:
             table.move(v, new)
         moves.extend(recolored)
-        table.require_proper("grundy_reduce")
         _grundy(table, moves)
-        table.require_grundy("cd_gcd_transform")
         _cd(table, moves)
         rounds += 1
         if rounds > 4 * len(colors) + 4:
@@ -345,19 +351,9 @@ def z_heuristic(g: Graph, seed_order=None) -> tuple[Coloring, ReductionTrace]:
 
     The result and trace are those of cd_gcd_transform then z_transform on
     greedy_coloring(g, seed_order), computed on one table: first-fit builds
-    the masks as it colors, and `_cd` then `_z` run on them.  Each stage's
-    entry check runs on those masks in O(n), with the stage's ValueError."""
-    colors, nbc = _first_fit(g, seed_order)
-    table = _ColorCounts(g, colors, nbc)
-    table.require_proper("cd_gcd_transform")
-    table.require_grundy("cd_gcd_transform")
-    moves = []
-    _cd(table, moves)
-    table.require_proper("z_transform")
-    table.require_grundy("z_transform")
-    table.require_cd("z_transform")
-    rounds = _z(table, moves)
-    return Coloring(tuple(table.colors)), ReductionTrace(moves, rounds)
+    the masks as it colors, and `_cd` then `_z` run on them, each checking
+    its own input on those masks with its public stage's ValueError."""
+    return _run(_ColorCounts(g, *_first_fit(g, seed_order)), _cd, _z)
 
 
 def complementary(g: Graph, c: Coloring, budget: int = 1000, rng_seed: int = 0) -> Coloring:

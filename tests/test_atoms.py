@@ -316,6 +316,31 @@ def test_prove_upper_bound_validations(d3_catalog, d4_triangle_free_catalog):
         prove_upper_bound(complete_graph(3), 4, d4_triangle_free_catalog)
 
 
+def test_prove_upper_bound_calls_embed_once_per_atom_tried(monkeypatch, d3_catalog, d4_triangle_free_catalog):
+    # the prover searches through the public embed, passing the host masks it
+    # computed once; each call finds what embed finds on fresh masks
+    from zcoloring import atoms
+
+    calls = []
+    search = atoms.embed
+
+    def spy(atom, target, *masks):
+        calls.append(atom)
+        found = search(atom, target, *masks)
+        assert len(masks) == 2 and found == search(atom, target)
+        return found
+
+    monkeypatch.setattr(atoms, "embed", spy)
+    hosts = [(Graph.from_edges(6, [(0, i) for i in range(1, 6)]), d3_catalog),
+             (complete_graph(3), d3_catalog), (cycle_graph(6), d3_catalog),
+             (cycle_graph(8), d4_triangle_free_catalog), (path_graph(7), d4_triangle_free_catalog)]
+    for g, catalog in hosts:
+        calls.clear()
+        verdict = prove_upper_bound(g, catalog.t, catalog)
+        tried = len(catalog.atoms) if verdict.passed else verdict.witness["atom_index"] + 1
+        assert calls == [atom.cg for atom in catalog.atoms[:tried]]
+
+
 def test_catalog_round_trip(d3_catalog):
     text = catalog_to_text(d3_catalog)
     back = catalog_from_text(text)

@@ -580,6 +580,12 @@ def test_bench_random_malformed_spec_is_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"bench: --random {spec}: expected N,P,SEED: integer N, probability P, integer SEED\n"
+    # a spec that parses but that gnp refuses is named with gnp's reason
+    for spec, reason in (("5,nan,1", "p must be in [0, 1]"), ("-3,0.5,1", "n must be non-negative")):
+        assert main(["bench", f"--random={spec}", "--heuristics", "greedy"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bench: --random {spec}: {reason}\n"
 
 
 def test_bench_empty_instance_list(capsys):

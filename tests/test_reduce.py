@@ -206,6 +206,41 @@ def test_public_stages_reject_bad_input_with_value_error():
             stage(p4, not_grundy)
 
 
+def test_stage_bodies_reject_bad_input_inside_z_heuristic(monkeypatch):
+    # z_heuristic enters _cd and _z without the public stages; each body
+    # still refuses an input its stage would refuse, with that stage's error
+    from zcoloring import reduce
+
+    p4 = path_graph(4)
+    for colors, message in (([1, 1, 2, 1], "cd_gcd_transform requires a proper coloring"),
+                            ([1, 3, 1, 2], "cd_gcd_transform requires a Grundy coloring")):
+        monkeypatch.setattr(reduce, "_first_fit", lambda g, order, colors=colors: (colors, neighbor_colors(g, colors)))
+        with pytest.raises(ValueError, match=message):
+            z_heuristic(p4)
+    monkeypatch.undo()
+    # first-fit along 0, 3, 2, 1 colors the 4-path 1, 3, 2, 1: Grundy, and
+    # class 1 has no CD vertex
+    order = [0, 3, 2, 1]
+    assert not check_cd(p4, greedy_coloring(p4, order)).passed
+    monkeypatch.setattr(reduce, "_cd", lambda table, moves: 0)
+    with pytest.raises(ValueError, match="z_transform requires a color-dominating coloring"):
+        z_heuristic(p4, order)
+
+
+def test_z_round_rejects_a_non_grundy_scan_result(monkeypatch):
+    # on this host a z round's recoloring leaves a proper coloring that is
+    # not Grundy; without the round's Grundy scan, its CD stage refuses it
+    from zcoloring import reduce
+
+    g = Graph.from_edges(10, [(0, 3), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2), (1, 4), (1, 7), (2, 7),
+                              (3, 4), (3, 5), (3, 9), (4, 5), (4, 7), (4, 8), (4, 9), (5, 8), (7, 9)])
+    c, trace = z_heuristic(g)
+    assert trace.iterations > 0 and check_z(g, c).passed
+    monkeypatch.setattr(reduce, "_grundy", lambda table, moves: None)
+    with pytest.raises(ValueError, match="cd_gcd_transform requires a Grundy coloring"):
+        z_heuristic(g)
+
+
 def test_grundy_reduce_huge_color_values():
     # empty classes between used colors cost one iteration each and nothing
     # else; none of them may be materialized.  The call runs in a child
