@@ -286,16 +286,17 @@ def embed(atom: ColoredGraph, target: Graph, adj: list[int] | None = None,
     if deg_ok is None:
         deg_ok = _degree_masks(target, h.max_degree())
 
+    # each next vertex is the first unplaced one by (-degree, index) that
+    # has a placed neighbor, or the first unplaced one when none has
+    rest = sorted(range(nh), key=lambda x: (-len(h.adj[x]), x))
+    near = [False] * nh
     order: list[int] = []
-    placed = set()
-    remaining = set(range(nh))
-    while remaining:
-        anchored = [v for v in remaining if any(w in placed for w in h.adj[v])]
-        pool = anchored if anchored else list(remaining)
-        v = min(pool, key=lambda x: (-h.degree(x), x))
+    while rest:
+        v = next((x for x in rest if near[x]), rest[0])
+        rest.remove(v)
         order.append(v)
-        placed.add(v)
-        remaining.discard(v)
+        for w in h.adj[v]:
+            near[w] = True
 
     pos = {v: i for i, v in enumerate(order)}
     levels = [
@@ -337,17 +338,68 @@ def embed(atom: ColoredGraph, target: Graph, adj: list[int] | None = None,
     return Embedding(tuple(mapping))
 
 
+def cycle_rank_and_bipartite(g: Graph) -> tuple[int, bool]:
+    """The largest cycle rank m_C - n_C + 1 over the components C of g (0 when
+    g is a forest or empty) and whether g is bipartite, in one O(n + m)
+    traversal that 2-colors each component from its smallest vertex."""
+    side = [-1] * g.n
+    rank, bipartite = 0, True
+    for root in range(g.n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        n_c = ends = 0
+        while stack:
+            u = stack.pop()
+            s, nbrs = side[u], g.adj[u]
+            n_c += 1
+            ends += len(nbrs)
+            for w in nbrs:
+                if side[w] < 0:
+                    side[w] = s ^ 1
+                    stack.append(w)
+                elif side[w] == s:
+                    bipartite = False
+        rank = max(rank, ends // 2 - n_c + 1)
+    return rank, bipartite
+
+
+def refuted_by_cycles(atom: Graph, host: tuple[int, bool]) -> bool:
+    """Whether `host`, the cycle_rank_and_bipartite facts of a host graph,
+    rules out every embedding of `atom`: the atom has a component of larger
+    cycle rank than any host component, or an odd cycle in a bipartite host.
+
+    Sound because an embedding is injective and keeps edges: it maps each
+    atom component onto a subgraph of one host component, whose cycle space
+    is a subspace of that component's, so its rank is no larger; and it
+    maps an odd cycle onto an odd cycle.
+    """
+    rank, bipartite = cycle_rank_and_bipartite(atom)
+    return rank > host[0] or (host[1] and not bipartite)
+
+
 def prove_upper_bound(g: Graph, t: int, catalog: AtomCatalog) -> Verdict:
     """Try to certify z(g) <= t-1: if no catalog atom embeds in g the bound
     holds; if some atom embeds the result is inconclusive (embedding alone
-    never certifies z(g) >= t), and the verdict carries the embedding."""
+    never certifies z(g) >= t), and the verdict carries the embedding.
+
+    The atoms are tried in catalog order.  An atom that refuted_by_cycles
+    rules out on g's cycle rank and bipartiteness, computed once, is passed
+    over without a search (a tree host takes only forest atoms, a bipartite
+    one only bipartite atoms); since such an atom cannot embed, the verdict,
+    the atom index and the embedding are those of searching every atom.
+    """
     if catalog.t != t:
         raise ValueError(f"catalog is for t={catalog.t}, asked about t={t}")
-    if catalog.triangle_free and g.has_triangle():
-        raise ValueError("triangle-filtered catalog cannot bound a graph with a triangle")
     adj = g.adjacency_masks()
+    if catalog.triangle_free and g.has_triangle(adj):
+        raise ValueError("triangle-filtered catalog cannot bound a graph with a triangle")
+    host = cycle_rank_and_bipartite(g)
     deg_ok = _degree_masks(g, max((a.cg.graph.max_degree() for a in catalog.atoms), default=0))
     for idx, atom in enumerate(catalog.atoms):
+        if refuted_by_cycles(atom.cg.graph, host):
+            continue
         emb = embed(atom.cg, g, adj, deg_ok)
         if emb is not None:
             return Verdict(

@@ -43,6 +43,8 @@ HEURISTICS = ("greedy", "grundy", "gcd", "z", "iz")
 ORACLES = {"chi": exact_chi, "gamma": exact_gamma, "b": exact_b, "z": exact_z}
 # what each oracle's `explored` counts (see OracleResult)
 EXPLORED_UNITS = {"chi": "nodes", "gamma": "subsets", "b": "nodes", "z": "nodes"}
+# each oracle's default size limit, for `exact` without --limit
+DEFAULT_LIMITS = {name: inspect.signature(f).parameters["limit_n"].default for name, f in ORACLES.items()}
 FAMILY_NAMES = ("Ht", "Ft", "Gt", "Rk", "Tk")
 
 
@@ -140,9 +142,7 @@ def cmd_verify(args) -> int:
 
 def cmd_exact(args) -> int:
     oracle = ORACLES[args.param]
-    limit = args.limit
-    if limit is None:
-        limit = inspect.signature(oracle).parameters["limit_n"].default
+    limit = DEFAULT_LIMITS[args.param] if args.limit is None else args.limit
     try:
         # the problem line's vertex count meets the limit before the graph is built
         g = _load_graph(args.input, lambda n: check_limit(n, limit, f"exact_{args.param}"))

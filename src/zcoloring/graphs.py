@@ -114,8 +114,11 @@ class Graph:
         edges = [(pos[u], pos[v]) for u, v in self.edges() if u in pos and v in pos]
         return Graph.from_edges(len(keep), edges)
 
-    def has_triangle(self) -> bool:
-        masks = self.adjacency_masks()
+    def has_triangle(self, masks: list[int] | None = None) -> bool:
+        """Whether some edge's endpoints share a neighbor; `masks` are this
+        graph's adjacency_masks() when the caller has built them already."""
+        if masks is None:
+            masks = self.adjacency_masks()
         for u, v in self.edges():
             if masks[u] & masks[v]:
                 return True

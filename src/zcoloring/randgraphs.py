@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from .graphs import Graph
@@ -23,20 +24,20 @@ def random_tree(n: int, rng: random.Random) -> Graph:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     code = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in code:
         degree[v] += 1
+    # the current leaves, smallest first: each step joins the smallest leaf
+    # to the next code vertex, which becomes a leaf on its last occurrence
+    leaves = [u for u in range(n) if degree[u] == 1]
     edges = []
     for v in code:
-        leaf = next(u for u in range(n) if degree[u] == 1)
-        edges.append((leaf, v))
-        degree[leaf] -= 1
+        edges.append((heapq.heappop(leaves), v))
         degree[v] -= 1
-    last = [u for u in range(n) if degree[u] == 1]
-    edges.append((last[0], last[1]))
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), leaves[0]))
     return Graph.from_edges(n, edges)
 
 

@@ -318,7 +318,9 @@ def test_prove_upper_bound_validations(d3_catalog, d4_triangle_free_catalog):
 
 def test_prove_upper_bound_calls_embed_once_per_atom_tried(monkeypatch, d3_catalog, d4_triangle_free_catalog):
     # the prover searches through the public embed, passing the host masks it
-    # computed once; each call finds what embed finds on fresh masks
+    # computed once; each call finds what embed finds on fresh masks, and the
+    # atoms it passes over on the host's cycle rank and bipartiteness are
+    # exactly the ones refuted_by_cycles names, none of which embeds
     from zcoloring import atoms
 
     calls = []
@@ -333,12 +335,37 @@ def test_prove_upper_bound_calls_embed_once_per_atom_tried(monkeypatch, d3_catal
     monkeypatch.setattr(atoms, "embed", spy)
     hosts = [(Graph.from_edges(6, [(0, i) for i in range(1, 6)]), d3_catalog),
              (complete_graph(3), d3_catalog), (cycle_graph(6), d3_catalog),
-             (cycle_graph(8), d4_triangle_free_catalog), (path_graph(7), d4_triangle_free_catalog)]
+             (cycle_graph(8), d4_triangle_free_catalog), (path_graph(7), d4_triangle_free_catalog),
+             (cycle_graph(7), d4_triangle_free_catalog), (gen_Tk(6).graph, d4_triangle_free_catalog)]
+    skipped_somewhere = False
     for g, catalog in hosts:
         calls.clear()
         verdict = prove_upper_bound(g, catalog.t, catalog)
         tried = len(catalog.atoms) if verdict.passed else verdict.witness["atom_index"] + 1
-        assert calls == [atom.cg for atom in catalog.atoms[:tried]]
+        facts = atoms.cycle_rank_and_bipartite(g)
+        kept = [a.cg for a in catalog.atoms[:tried] if not atoms.refuted_by_cycles(a.cg.graph, facts)]
+        skipped = [a.cg for a in catalog.atoms[:tried] if atoms.refuted_by_cycles(a.cg.graph, facts)]
+        assert calls == kept
+        assert all(search(cg, g) is None for cg in skipped)
+        skipped_somewhere |= bool(skipped)
+    assert skipped_somewhere
+
+
+def test_cycle_rank_and_bipartite_small_graphs():
+    from zcoloring.atoms import cycle_rank_and_bipartite
+
+    assert cycle_rank_and_bipartite(Graph.from_edges(0, [])) == (0, True)
+    assert cycle_rank_and_bipartite(path_graph(5)) == (0, True)
+    assert cycle_rank_and_bipartite(cycle_graph(6)) == (1, True)
+    assert cycle_rank_and_bipartite(cycle_graph(5)) == (1, False)
+    assert cycle_rank_and_bipartite(complete_graph(4)) == (3, False)
+    # K4 next to C6: the largest rank is K4's, and the odd cycles sit in K4
+    two = Graph.from_edges(10, [(i, j) for i in range(4) for j in range(i + 1, 4)]
+                           + [(4 + i, 4 + (i + 1) % 6) for i in range(6)])
+    assert cycle_rank_and_bipartite(two) == (3, False)
+    # two disjoint even cycles: the rank is per component, not summed
+    assert cycle_rank_and_bipartite(Graph.from_edges(8, [(i, (i + 1) % 4) for i in range(4)]
+                                                     + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])) == (1, True)
 
 
 def test_catalog_round_trip(d3_catalog):

@@ -459,6 +459,27 @@ def test_atoms_gen_and_bound(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_atoms_bound_on_a_large_tree_embeds_the_first_forest_atom(tmp_path, capsys):
+    # a tree host rules out every atom with a cycle before any search; the
+    # first forest atom of the full t=4 catalog, atom 37, embeds
+    import random
+
+    from zcoloring.atoms import catalog_from_text, embedding_valid
+    from zcoloring.randgraphs import random_tree
+
+    tree = random_tree(10_000, random.Random(1))
+    host = tmp_path / "tree.col"
+    host.write_text(to_dimacs(tree))
+    catalog = os.path.join(os.path.dirname(__file__), "..", "catalogs", "d4_full.catalog")
+    assert main(["atoms", "bound", str(host), "--t", "4", "--catalog", catalog]) == 1
+    out = capsys.readouterr().out
+    found = re.fullmatch(r"inconclusive: atom (\d+) embeds via \(([\d, ]+)\)\n", out)
+    assert found and found[1] == "37"
+    with open(catalog, encoding="ascii") as fh:
+        atom = catalog_from_text(fh.read()).atoms[37].cg
+    assert embedding_valid(atom, tree, tuple(int(v) for v in found[2].split(", ")))
+
+
 K3_ATOM = "t 3\nn 3\nedges 0-1 0-2 1-2\nk 3\ncolors 1 2 3\nstar 0 1 2\n"
 
 

@@ -20,7 +20,7 @@ from zcoloring import (
 )
 from zcoloring import graphs
 from zcoloring.graphs import MAX_ORDER
-from zcoloring.randgraphs import gnp
+from zcoloring.randgraphs import gnp, random_tree
 
 
 def test_parse_k2():
@@ -502,3 +502,31 @@ def test_serialize_coloring_matches_a_reference_formatter():
     check()
     # an empty class keeps the blank after its number
     assert "class 2 \n" in serialize_coloring(Graph.from_edges(2, []), Coloring((1, 3)))
+
+
+def _pruefer_tree_by_scan(n, rng):
+    # random_tree's decoder before it kept the leaves in a heap: every step
+    # scans all n vertices for the smallest leaf
+    if n == 1:
+        return Graph.from_edges(1, [])
+    code = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in code:
+        degree[v] += 1
+    edges = []
+    for v in code:
+        leaf = next(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    last = [u for u in range(n) if degree[u] == 1]
+    edges.append((last[0], last[1]))
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 30, 200, 1000])
+def test_random_tree_matches_scanning_decoder(n):
+    for seed in range(5):
+        tree = random_tree(n, random.Random(seed))
+        assert tree == _pruefer_tree_by_scan(n, random.Random(seed))
+        assert tree.m == n - 1 and tree.is_connected()
