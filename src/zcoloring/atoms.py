@@ -64,15 +64,20 @@ def _set_partitions(items: list[int]):
         yield [[first]] + part
 
 
-def _dedup(pairs) -> list[tuple[ColoredGraph, str]]:
+def _by_certificate(pairs) -> dict[bytes, tuple[ColoredGraph, str]]:
     """The first (colored graph, provenance) pair of each color-preserving
-    isomorphism class, in input order."""
+    isomorphism class, keyed by its canonical certificate, in input order."""
     seen = {}
     for cg, prov in pairs:
         cert = colored_canonical_form(cg)
         if cert not in seen:
             seen[cert] = (cg, prov)
-    return list(seen.values())
+    return seen
+
+
+def _dedup(pairs) -> list[tuple[ColoredGraph, str]]:
+    """The pairs `_by_certificate` keeps, in input order."""
+    return list(_by_certificate(pairs).values())
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +181,11 @@ def grundify(cg: ColoredGraph, k: int) -> list[ColoredGraph]:
 
 
 def _edge_minimal_z(g: Graph, t: int) -> bool:
-    return all(not z_reaches(g.drop_edge(u, v), t) for u, v in g.edges())
+    """Whether no G - e reaches z-number t.  The edges are tried last built
+    first: an edge the last grundify stage added is the likeliest to be
+    redundant, so a candidate that is not minimal is usually rejected after
+    fewer probes."""
+    return all(not z_reaches(g.drop_edge(u, v), t) for u, v in reversed(g.edges()))
 
 
 def generate_atoms(
@@ -192,7 +201,9 @@ def generate_atoms(
     z-coloring with t colors and that are edge-minimal with respect to
     z-number.  Each stage's raw candidates pass the triangle-free filter
     (sound per stage since later stages only add edges) and are deduplicated
-    once.  The unfiltered t=4 catalog is large and gated behind allow_large.
+    once.  The atoms are listed in the order of their canonical
+    certificates, the ones the last stage's dedup computed.  The unfiltered
+    t=4 catalog is large and gated behind allow_large.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -202,19 +213,19 @@ def generate_atoms(
         raise ValueError("unfiltered catalogs for t >= 4 are gated behind allow_large")
 
     def stage(pairs):
-        return _dedup((cg, p) for cg, p in pairs if not (triangle_free and cg.graph.has_triangle()))
+        return _by_certificate((cg, p) for cg, p in pairs if not (triangle_free and cg.graph.has_triangle()))
 
     family = stage(_phase1_with_prov(t - 1))
     for k in range(t - 1, 1, -1):
         family = stage(
             (out, f"{prov} | G{k} {extra}" if extra else prov)
-            for cg, prov in family
+            for cg, prov in family.values()
             for out, extra in _grundify_with_prov(cg, k)
         )
 
     star = tuple(range(t))
-    atoms = []
-    for cg, prov in family:
+    kept = []
+    for cert, (cg, prov) in family.items():
         candidate = ColoredGraph(cg.graph, cg.coloring, star)
         if cg.coloring.k != t or not check_z(cg.graph, cg.coloring).passed:
             raise AssertionError("constructed atom candidate is not a z-coloring")
@@ -222,9 +233,9 @@ def generate_atoms(
             raise AssertionError("star vertices lost their dominating property")
         if not _edge_minimal_z(cg.graph, t):
             continue
-        atoms.append(Atom(candidate, prov))
-    atoms.sort(key=lambda a: colored_canonical_form(a.cg))
-    return AtomCatalog(t, atoms, triangle_free)
+        kept.append((cert, Atom(candidate, prov)))
+    kept.sort(key=lambda pair: pair[0])
+    return AtomCatalog(t, [atom for _, atom in kept], triangle_free)
 
 
 # ---------------------------------------------------------------------------

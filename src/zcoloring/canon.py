@@ -4,9 +4,11 @@ Colors are fixed labels, never permuted: two colored graphs get equal
 certificates exactly when some graph isomorphism maps every vertex to a
 vertex of the same color.  Used to deduplicate atom catalogs.
 
-The certificate comes from iterative partition refinement seeded with
-(color, degree), with branching on the first non-singleton cell when
-refinement stalls.  Worst case exponential, fine for atom-sized graphs.
+The certificate comes from iterative partition refinement seeded with the
+color classes, in color order; degree enters at the first refinement round,
+whose signatures count each vertex's neighbours per cell.  When refinement
+stalls it branches on the first non-singleton cell.  Worst case
+exponential, fine for atom-sized graphs.
 """
 
 from __future__ import annotations
@@ -14,11 +16,18 @@ from __future__ import annotations
 from .graphs import ColoredGraph, Coloring, Graph
 
 
-def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:
+def _refine(nbrs: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
     """Equitable refinement of an ordered partition; order of cells is preserved,
-    sub-cells are inserted at their parent position sorted by signature."""
+    sub-cells are inserted at their parent position sorted by signature.  A
+    vertex's signature counts its neighbours in each cell, in cell order,
+    read off its adjacency list through each vertex's cell index."""
+    n = len(nbrs)
     while True:
-        masks = [sum(1 << v for v in cell) for cell in cells]
+        cell_of = [0] * n
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = i
+        width = len(cells)
         new_cells = []
         changed = False
         for cell in cells:
@@ -27,8 +36,10 @@ def _refine(adj: list[int], cells: list[list[int]]) -> list[list[int]]:
                 continue
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                sig = tuple((adj[v] & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
+                counts = [0] * width
+                for w in nbrs[v]:
+                    counts[cell_of[w]] += 1
+                groups.setdefault(tuple(counts), []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
@@ -72,7 +83,7 @@ def canonical_certificate(g: Graph, c: Coloring) -> bytes:
     best: bytes | None = None
     stack = [initial]
     while stack:
-        cells = _refine(adj, stack.pop())
+        cells = _refine(g.adj, stack.pop())
         target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if target is None:
             cert = _encode(n, colors, [v for cell in cells for v in cell], adj)

@@ -24,8 +24,9 @@ Every oracle that probes targets does so through `_probe`, which runs the
 searches it is given at each target in order and sums the node count.  The
 backtracking engine (`_search`) is one loop over an explicit stack of
 frames, so its depth is bounded by memory rather than the recursion limit.  It assigns vertices most-saturated-first
-with properness pruning, and the z search additionally prunes any vertex
-whose missing lower colors exceed its unassigned neighbors.  Per vertex it
+with properness pruning, and the z search writes only the colors that leave
+no colored vertex missing more lower colors than it has unassigned
+neighbours.  Per vertex it
 keeps the neighbour color counts and their mask (which decides properness),
 a slack (how far the vertex is from no longer being able to become
 color-dominating), the colors it may still hold as a dominating vertex,
@@ -133,9 +134,11 @@ def _search(g: Graph, k: int, star: bool):
     the cuts below at its complete assignment, or None, and the number of
     search nodes explored.  It is a b-coloring, or with `star` a z-coloring.
 
-    One loop over an explicit stack of frames [v, color tried, top,
-    max_used, take[v] before v was colored], one per vertex on the current
-    branch, so the depth is bounded by memory, not by the recursion limit.
+    One loop over an explicit stack of frames [v, its color, the mask of
+    colors it has left to try, max_used, take[v] before v was colored], one
+    per vertex on the current branch, so the depth is bounded by memory, not
+    by the recursion limit.  A frame takes the lowest color of its mask at
+    each advance, and only a color it can keep is ever written.
     Per vertex u the engine keeps, updated in O(deg v) when v is assigned or
     unassigned:
       `cnt[u][c]`  neighbours of u with color c, and `nbc[u]` the mask of
@@ -161,19 +164,32 @@ def _search(g: Graph, k: int, star: bool):
                    the lowest color u may take that take[u] lacks.  Only
                    the z search reads it.
 
-    Without `star` the colors are interchangeable, so a vertex takes at most
-    one color not used yet.  With `star` (z mode) the colors are ordered:
-    a colored vertex is cut once its missing lower colors exceed its
-    uncolored neighbors.
+    Without `star` the colors are interchangeable, so a vertex v tries the
+    colors of 1..max_used+1 (at most k) that nbc[v] lacks: at most one color
+    not used yet.  With `star` (z mode) the colors are ordered, and no
+    colored vertex may miss more lower colors than it has uncolored
+    neighbours.  So v tries only the colors of take[v]: exactly the colors c
+    that nbc[v] lacks with at most un[v] colors below c missing.  When its
+    frame is pushed, a read-only pass over v's colored neighbours drops
+    every color whose write would break the rule at a neighbour w: w misses
+    the lower colors `missing`, at most un[w] of them, and v's write lowers
+    un[w] by one, so when w misses exactly un[w] colors v must take one of
+    them.  The neighbours' state is the same at every color the frame
+    tries, since the frames above it restore what they change, so the mask
+    holds for all of them, and no write is undone for breaking the rule.
 
     Every class must contain a color-dominating vertex, so a node is cut
     unless the OR of `hold` covers 1..k: every `hold` only shrinks deeper in
-    the branch.  With `star` a node that passes is narrowed further.  A
-    vertex u can only come to see the colors in nbc[u] or in the `take` of
-    its uncolored neighbours; if two colors of 1..k lie outside that set, u
-    can never dominate and its narrowed hold is 0, and if one does, u can
-    dominate only while holding it.  The cover test then runs again on the
-    narrowed holds, and the star test asks for some vertex whose narrowed
+    the branch.  A vertex of degree below k-1 always has slack < 0 and hold
+    0, so the node tests loop over the other vertices alone, the hubs.  With
+    `star` each hold is narrowed first, and only the narrowed cover test
+    runs: a narrowed hold is a subset of the hold, so the narrowed cover
+    fails wherever the plain one does.  A vertex u can only come to see the
+    colors in nbc[u] or in the `take` of its uncolored neighbours; if two
+    colors of 1..k lie outside that set, u can never dominate and its
+    narrowed hold is 0, and if one does, u can
+    dominate only while holding it.  The cover test runs on the narrowed
+    holds, and the star test asks for some vertex whose narrowed
     hold has color k and whose neighbours' narrowed holds cover 1..k-1 with
     at least k-1 distinct neighbours holding some color of 1..k-1, since the
     star's other vertices are k-1 different neighbours.  Deeper in the
@@ -210,6 +226,9 @@ def _search(g: Graph, k: int, star: bool):
     un = [len(a) for a in nbrs]
     slack = [d - (k - 1) for d in un]
     hold = [required if s >= 0 else 0 for s in slack]
+    # only a vertex of degree >= k-1 can have slack >= 0, so only these hubs
+    # ever hold a color; each with its hub neighbours, the possible leaves
+    hubs = [(u, [w for w in nbrs[u] if slack[w] >= 0]) for u, s in enumerate(slack) if s >= 0]
     base = [d * n + n - 1 - u for u, d in enumerate(un)]
     key = base[:]
     take = [required & ((1 << (d + 2)) - 2) for d in un]
@@ -220,15 +239,12 @@ def _search(g: Graph, k: int, star: bool):
         # a new node: the current partial coloring
         explored += 1
         cover = 0
-        for h in hold:
-            cover |= h
-        open_ = cover == required
-        if open_ and star:
+        if star:
             # narrow each hold to what u can still dominate in: it can only
             # come to see nbc[u] and its uncolored neighbours' take
             held = [0] * n
-            cover = 0
-            for u, h in enumerate(hold):
+            for u, _ in hubs:
+                h = hold[u]
                 if h:
                     got = nbc[u]
                     for w in nbrs[u]:
@@ -241,11 +257,11 @@ def _search(g: Graph, k: int, star: bool):
             open_ = False
             if cover == required:
                 # a star center: k-1 distinct leaves that cover 1..k-1
-                for u in range(n):
+                for u, leaves_of in hubs:
                     if held[u] & kbit:
                         reach = 0
                         leaves = 0
-                        for w in nbrs[u]:
+                        for w in leaves_of:
                             h = held[w] & below
                             if h:
                                 reach |= h
@@ -253,15 +269,31 @@ def _search(g: Graph, k: int, star: bool):
                         if reach == below and leaves >= k - 1:
                             open_ = True
                             break
+        else:
+            for u, _ in hubs:
+                cover |= hold[u]
+            open_ = cover == required
         if open_:
             if len(stack) == n:
                 return color, explored
             v = key.index(max(key))
-            stack.append([v, 0, k if star else min(k, max_used + 1), max_used, take[v]])
+            if star:
+                # the colors v can keep: its take, less any color whose write
+                # would leave a colored neighbour w missing more lower colors
+                # than its uncolored neighbours could still supply
+                free = take[v]
+                for w in nbrs[v]:
+                    if color[w]:
+                        missing = ((1 << color[w]) - 2) & ~nbc[w]
+                        if missing.bit_count() >= un[w]:
+                            free &= missing
+            else:
+                free = ((2 << min(k, max_used + 1)) - 2) & ~nbc[v]
+            stack.append([v, 0, free, max_used, take[v]])
         # advance the deepest frame to its next color, popping exhausted ones
         while stack:
             frame = stack[-1]
-            v, c, top, max_used, v_take = frame
+            v, c, free, max_used, v_take = frame
             if c:
                 # unassign v
                 cbit = 1 << c
@@ -287,22 +319,19 @@ def _search(g: Graph, k: int, star: bool):
                 key[v] = nbc[v].bit_count() * n2 + base[v]
                 if slack[v] >= 0:
                     hold[v] = required & ~nbc[v]
-            seen = nbc[v]
-            c += 1
-            while c <= top and seen >> c & 1:
-                c += 1
-            if c > top:
+            if not free:
                 stack.pop()
                 continue
-            # assign v color c
+            # assign v its lowest color left
+            cbit = free & -free
+            c = cbit.bit_length() - 1
             frame[1] = c
-            cbit = 1 << c
+            frame[2] = free ^ cbit
             color[v] = c
             key[v] = -1
             take[v] = 0
             if slack[v] >= 0:
                 hold[v] = cbit
-            ok = not star or ((cbit - 2) & ~nbc[v]).bit_count() <= un[v]
             for w in nbrs[v]:
                 row = cnt[w]
                 row[c] += 1
@@ -316,20 +345,14 @@ def _search(g: Graph, k: int, star: bool):
                     slack[w] -= 1
                     if slack[w] < 0:
                         hold[w] = 0
-                if star:
-                    if color[w]:
-                        missing = ((1 << color[w]) - 2) & ~nbc[w]
-                        if missing.bit_count() > un[w]:
-                            ok = False
-                    else:
-                        kept = take[w] & ~cbit
-                        if kept.bit_count() > un[w] + 1:
-                            kept ^= 1 << (kept.bit_length() - 1)
-                        take[w] = kept
-            if ok:
-                if c > max_used:
-                    max_used = c
-                break
+                if star and not color[w]:
+                    kept = take[w] & ~cbit
+                    if kept.bit_count() > un[w] + 1:
+                        kept ^= 1 << (kept.bit_length() - 1)
+                    take[w] = kept
+            if c > max_used:
+                max_used = c
+            break
         else:
             return None, explored
 

@@ -421,6 +421,42 @@ def test_minimality_filter_is_load_bearing(d4_triangle_free_catalog):
     assert len(d4_triangle_free_catalog.atoms) == 25
 
 
+@pytest.mark.parametrize("args, reaches, searches, nodes, certificates", [
+    ((3, False, False), 9, 1, 5, 5),
+    ((4, True, False), 432, 177, 5_263, 123),
+    ((4, False, True), 1_579, 891, 22_234, 822),
+], ids=["d3", "d4_trianglefree", "d4_full"])
+def test_catalog_generation_work_pinned(monkeypatch, args, reaches, searches, nodes, certificates):
+    # z_reaches calls of the edge-minimality test, z searches and their
+    # nodes, and canonical certificates: one per dedup candidate, none more
+    # to sort the catalog
+    from zcoloring import atoms, oracle
+
+    counts = [0, 0, 0, 0]
+    reaches_of, search, form = atoms.z_reaches, oracle._search, atoms.colored_canonical_form
+
+    def count_reaches(g, t):
+        counts[0] += 1
+        return reaches_of(g, t)
+
+    def count_search(g, k, star):
+        found, explored = search(g, k, star)
+        counts[1] += 1
+        counts[2] += explored
+        return found, explored
+
+    def count_form(cg):
+        counts[3] += 1
+        return form(cg)
+
+    monkeypatch.setattr(atoms, "z_reaches", count_reaches)
+    monkeypatch.setattr(oracle, "_search", count_search)
+    monkeypatch.setattr(atoms, "colored_canonical_form", count_form)
+    t, triangle_free, allow_large = args
+    generate_atoms(t, triangle_free, allow_large=allow_large)
+    assert counts == [reaches, searches, nodes, certificates]
+
+
 def test_checked_in_catalogs_regenerate_byte_identically(d3_catalog, d4_triangle_free_catalog):
     import pathlib
 
