@@ -15,11 +15,13 @@ members that are not edge-minimal with respect to z-number.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 from .canon import colored_canonical_form
-from .graphs import ColoredGraph, Coloring, Graph, parse_coloring_record, serialize_colored_graph
-from .oracle import z_reaches
+from .graphs import (RECORD_PATTERN, ColoredGraph, Coloring, Graph, parse_coloring_record, parse_record_lines,
+                     serialize_colored_graph)
+from .oracle import star_degree_bound, z_reaches
 from .verify import Verdict, Violation, check_z, neighbor_colors, verify_star
 
 # largest t that phase1_generate and generate_atoms accept; the triangle-free
@@ -180,12 +182,22 @@ def grundify(cg: ColoredGraph, k: int) -> list[ColoredGraph]:
 # Catalog generation
 
 
-def _edge_minimal_z(g: Graph, t: int) -> bool:
+def _edge_minimal_z(g: Graph, t: int, memo: dict) -> bool:
     """Whether no G - e reaches z-number t.  The edges are tried last built
     first: an edge the last grundify stage added is the likeliest to be
     redundant, so a candidate that is not minimal is usually rejected after
-    fewer probes."""
-    return all(not z_reaches(g.drop_edge(u, v), t) for u, v in reversed(g.edges()))
+    fewer probes.  `memo` maps (adjacency of G - e, t) to the answer, so a
+    labelled graph that an earlier candidate already produced is not
+    decided again."""
+    for u, v in reversed(g.edges()):
+        dropped = g.drop_edge(u, v)
+        key = (dropped.adj, t)
+        reaches = memo.get(key)
+        if reaches is None:
+            reaches = memo[key] = z_reaches(dropped, t)
+        if reaches:
+            return False
+    return True
 
 
 def generate_atoms(
@@ -224,14 +236,14 @@ def generate_atoms(
         )
 
     star = tuple(range(t))
-    kept = []
+    kept, memo = [], {}
     for cert, (cg, prov) in family.items():
         candidate = ColoredGraph(cg.graph, cg.coloring, star)
         if cg.coloring.k != t or not check_z(cg.graph, cg.coloring).passed:
             raise AssertionError("constructed atom candidate is not a z-coloring")
         if not verify_star(cg.graph, cg.coloring, star):
             raise AssertionError("star vertices lost their dominating property")
-        if not _edge_minimal_z(cg.graph, t):
+        if not _edge_minimal_z(cg.graph, t, memo):
             continue
         kept.append((cert, Atom(candidate, prov)))
     kept.sort(key=lambda pair: pair[0])
@@ -257,32 +269,58 @@ def embedding_valid(atom: ColoredGraph, target: Graph, mapping) -> bool:
     return True
 
 
-def _degree_masks(g: Graph, top: int) -> list[int]:
-    """deg_ok[d] is the bitmask of the vertices of g with degree >= d, for
-    d = 0..top."""
+# embed searches on bitmasks while they take at most this many bits per
+# adjacency-list entry, a quarter of the entry's own 64-bit pointer: on a
+# dense host one AND filters a level's candidates, where the list search
+# draws and tests each (4-5x slower on G(15, 0.6-0.8) where an atom does
+# not embed), and on a sparse host the lists are as fast and need no masks
+MASK_BITS_PER_ENTRY = 16
+
+
+def search_masks(g: Graph) -> tuple[list[int], list[int]] | None:
+    """The bitmasks embed searches g on: each vertex's neighborhood, and
+    deg_ok[d], the vertices of degree >= d, for d = 0..max degree + 1.  None
+    when their n bits per vertex and per degree would exceed
+    MASK_BITS_PER_ENTRY bits per entry of g's adjacency lists (n + 2m
+    entries), so that a large sparse host is searched on its lists in
+    O(n + m) memory."""
+    n, top = g.n, g.max_degree() + 1
+    if n * (n + top + 1) > MASK_BITS_PER_ENTRY * (n + sum(map(len, g.adj))):
+        return None
     deg_ok = [0] * (top + 1)
     for u, nbrs in enumerate(g.adj):
-        deg_ok[min(len(nbrs), top)] |= 1 << u
+        deg_ok[len(nbrs)] |= 1 << u
     for d in range(top - 1, -1, -1):
         deg_ok[d] |= deg_ok[d + 1]
-    return deg_ok
+    return g.adjacency_masks(), deg_ok
 
 
-def embed(atom: ColoredGraph, target: Graph, adj: list[int] | None = None,
-          deg_ok: list[int] | None = None) -> Embedding | None:
+def embed(atom: ColoredGraph, target: Graph,
+          masks: tuple[list[int], list[int]] | None | bool = True) -> Embedding | None:
     """Complete backtracking search for an embedding of the colored atom into
-    the (uncolored) target; None when none exists.  The host masks are
-    computed here unless the caller passes them (for many atoms on one
-    host): adj[u] is the neighborhood of target vertex u and deg_ok[d] the
-    target vertices of degree >= d, for d up to at least the atom's largest
-    degree.
+    the (uncolored) target; None when none exists.  `masks` is what
+    search_masks(target) returns, for a caller that searches many atoms on
+    one target; by default embed calls it.
 
     Atom vertices are placed in a fixed order, each next to an already placed
-    neighbor where one exists.  A level's candidates are one bitmask: free
-    targets of sufficient degree, adjacent to the image of every placed
-    neighbor and non-adjacent to the image of every placed same-colored
-    vertex.  Its bits are tried in ascending order, so the first embedding
-    found is the lexicographically first in that vertex order.  The search
+    neighbor, its anchor, where one exists.  A candidate for a level must be
+    free, of degree at least the atom vertex's, adjacent to the images of
+    the placed neighbors and non-adjacent to the images of the placed
+    same-colored vertices.  With masks a level's candidates are one bitmask
+    of those conditions.  Without them, a level with an anchor draws its
+    candidates from the adjacency list of the anchor's image and a level
+    without one (the first, and the first of each further atom component)
+    from all target vertices, and each draw is tested; this reads only the
+    target's adjacency lists, so the search needs O(n + m) memory.  Either
+    way the candidates are tried in ascending order, so the first embedding
+    found is the lexicographically first in that vertex order, and the two
+    searches find the same one.
+
+    The degree test cuts nothing that embeds: the map is injective and keeps
+    edges, so each image has at least its atom vertex's degree.  By the same
+    argument an atom vertex of degree >= k-1 with k-1 neighbors of degree
+    >= k-1 maps onto such a target vertex, so an atom whose
+    star_degree_bound exceeds the target's has no embedding.  The search
     keeps each entered level's untried candidates in a list instead of
     recursing, so a call leaves no reference cycle behind.
     """
@@ -292,35 +330,52 @@ def embed(atom: ColoredGraph, target: Graph, adj: list[int] | None = None,
         return None
     if nh == 0:
         return Embedding(())
-    if adj is None:
-        adj = target.adjacency_masks()
-    if deg_ok is None:
-        deg_ok = _degree_masks(target, h.max_degree())
 
     # each next vertex is the first unplaced one by (-degree, index) that
-    # has a placed neighbor, or the first unplaced one when none has
-    rest = sorted(range(nh), key=lambda x: (-len(h.adj[x]), x))
+    # has a placed neighbor, or the first unplaced one when none has; its
+    # level holds its degree, its placed neighbors (the first is the anchor)
+    # and its placed same-colored vertices
+    hadj, colors = h.adj, c.colors
+    rest = sorted(range(nh), key=lambda x: -len(hadj[x]))
     near = [False] * nh
-    order: list[int] = []
+    placed = [False] * nh
+    by_color: dict[int, list[int]] = {}
+    levels = []
     while rest:
-        v = next((x for x in rest if near[x]), rest[0])
+        for v in rest:
+            if near[v]:
+                break
+        else:
+            v = rest[0]
         rest.remove(v)
-        order.append(v)
-        for w in h.adj[v]:
+        nbrs = [w for w in hadj[v] if placed[w]]
+        same = by_color.setdefault(colors[v], [])
+        levels.append((v, len(hadj[v]), nbrs, same[:]))
+        same.append(v)
+        placed[v] = True
+        for w in hadj[v]:
             near[w] = True
 
-    pos = {v: i for i, v in enumerate(order)}
-    levels = [
-        (
-            v,
-            deg_ok[h.degree(v)],
-            [w for w in h.adj[v] if pos[w] < pos[v]],
-            [w for w in range(nh) if w != v and c.colors[w] == c.colors[v] and pos[w] < pos[v]],
-        )
-        for v in order
-    ]
-    mapping = [-1] * nh
-    untried = [0] * nh
+    if masks is True:
+        masks = search_masks(target)
+    if masks is None:
+        mapping = _search_lists(levels, target)
+    else:
+        mapping = _search_masks(levels, nt, *masks)
+    if mapping is None:
+        return None
+    if not embedding_valid(atom, target, mapping):
+        raise AssertionError("embedding search returned an invalid map")
+    return Embedding(tuple(mapping))
+
+
+def _search_masks(levels, nt: int, adj: list[int], deg_ok: list[int]) -> list[int] | None:
+    """embed's search on bitmasks: each level's candidates are one mask, whose
+    bits are tried in ascending order."""
+    top = len(deg_ok) - 1
+    levels = [(v, deg_ok[min(d, top)], nbrs, same) for v, d, nbrs, same in levels]
+    mapping = [-1] * len(levels)
+    untried = [0] * len(levels)
     free = (1 << nt) - 1
     i = 0
     while True:
@@ -340,13 +395,48 @@ def embed(atom: ColoredGraph, target: Graph, adj: list[int] | None = None,
         low = pool & -pool
         untried[i] = pool ^ low
         mapping[v] = low.bit_length() - 1
-        if i + 1 == nh:
-            break
+        if i + 1 == len(levels):
+            return mapping
         free ^= low
         i += 1
-    if not embedding_valid(atom, target, mapping):
-        raise AssertionError("embedding search returned an invalid map")
-    return Embedding(tuple(mapping))
+
+
+def _search_lists(levels, target: Graph) -> list[int] | None:
+    """embed's search on adjacency lists: each level draws its candidates in
+    ascending order from the anchor image's list, or from all target
+    vertices, and tests each draw."""
+    tadj = target.adj
+    mapping = [-1] * len(levels)
+    used: set[int] = set()
+    untried: list = [None] * len(levels)  # per entered level, its candidate iterator
+    avoid: list = [None] * len(levels)  # per entered level, the images its candidates must not touch
+    i = 0
+    while True:
+        v, d, nbrs, same = levels[i]
+        if untried[i] is None:  # entering level i: the placed images are fixed until it is left
+            pool = tadj[mapping[nbrs[0]]] if nbrs else range(target.n)
+            if len(nbrs) > 1:
+                pool = sorted(set(pool).intersection(*[tadj[mapping[w]] for w in nbrs[1:]]))
+            # used holds the placed images whenever this level draws a candidate
+            untried[i] = itertools.filterfalse(used.__contains__, pool)
+            avoid[i] = {mapping[w] for w in same} if same else None
+        shun = avoid[i]
+        for x in untried[i]:
+            nx = tadj[x]
+            if len(nx) >= d and (shun is None or shun.isdisjoint(nx)):
+                break
+        else:  # backtrack to the deepest level with a candidate left
+            untried[i] = None
+            i -= 1
+            if i < 0:
+                return None
+            used.discard(mapping[levels[i][0]])
+            continue
+        mapping[v] = x
+        if i + 1 == len(levels):
+            return mapping
+        used.add(x)
+        i += 1
 
 
 def cycle_rank_and_bipartite(g: Graph) -> tuple[int, bool]:
@@ -395,23 +485,33 @@ def prove_upper_bound(g: Graph, t: int, catalog: AtomCatalog) -> Verdict:
     holds; if some atom embeds the result is inconclusive (embedding alone
     never certifies z(g) >= t), and the verdict carries the embedding.
 
-    The atoms are tried in catalog order.  An atom that refuted_by_cycles
-    rules out on g's cycle rank and bipartiteness, computed once, is passed
-    over without a search (a tree host takes only forest atoms, a bipartite
-    one only bipartite atoms); since such an atom cannot embed, the verdict,
-    the atom index and the embedding are those of searching every atom.
+    The atoms are tried in catalog order.  An atom is passed over without a
+    search when g's star degree bound, cycle rank or bipartiteness, each
+    computed once in O(n + m), rules it out: its star_degree_bound exceeds
+    g's, or refuted_by_cycles names it.  The star test is sound because an
+    embedding is injective and keeps edges, so degrees only grow: the
+    atom's star, a vertex of degree >= k-1 with k-1 neighbors of degree
+    >= k-1, maps onto such a star of g.  Every atom of a t-catalog has a
+    star on t vertices, so a host whose bound is below t searches none; a
+    tree host searches only forest atoms, a bipartite one only bipartite
+    atoms.  Since a skipped atom cannot embed, the verdict, the atom index
+    and the embedding are those of searching every atom.  The search reads
+    only g's adjacency lists, so the prover needs O(n + m) memory.
     """
     if catalog.t != t:
         raise ValueError(f"catalog is for t={catalog.t}, asked about t={t}")
-    adj = g.adjacency_masks()
-    if catalog.triangle_free and g.has_triangle(adj):
-        raise ValueError("triangle-filtered catalog cannot bound a graph with a triangle")
     host = cycle_rank_and_bipartite(g)
-    deg_ok = _degree_masks(g, max((a.cg.graph.max_degree() for a in catalog.atoms), default=0))
+    # a bipartite host has no odd cycle, so no triangle to look for
+    if catalog.triangle_free and not host[1] and g.has_triangle():
+        raise ValueError("triangle-filtered catalog cannot bound a graph with a triangle")
+    star = star_degree_bound(g)
+    masks = True  # built for the first atom searched, if any
     for idx, atom in enumerate(catalog.atoms):
-        if refuted_by_cycles(atom.cg.graph, host):
+        if star_degree_bound(atom.cg.graph) > star or refuted_by_cycles(atom.cg.graph, host):
             continue
-        emb = embed(atom.cg, g, adj, deg_ok)
+        if masks is True:
+            masks = search_masks(g)
+        emb = embed(atom.cg, g, masks)
         if emb is not None:
             return Verdict(
                 False,
@@ -441,9 +541,18 @@ def _header_int(key: str, value: str) -> int:
         raise ValueError(f"catalog: {key} must be an integer, got {value!r}") from None
 
 
+# an atom as atom_record writes it, with a provenance of printable ASCII
+_ATOM = re.compile(r"t ([0-9]+)\n(" + RECORD_PATTERN + r")provenance(?: ([ -~]*[!-~]))?\n?")
+
+
 def catalog_from_text(text: str) -> AtomCatalog:
     """Parse the text written by catalog_to_text; malformed input raises
-    ValueError (RecordError for a bad atom record) naming the problem."""
+    ValueError (RecordError for a bad atom record) naming the problem.
+
+    An atom that _ATOM matches goes to parse_coloring_record as the slice
+    of its record; any other goes through the line loop below, which passes
+    the record's lines to parse_record_lines as they are.  Both see the
+    same record lines, numbered alike in error messages."""
     chunks = [c for c in text.split("\n\n") if c.strip()]
     if not chunks:
         raise ValueError("empty catalog: missing 'zatoms' header")
@@ -461,6 +570,10 @@ def catalog_from_text(text: str) -> AtomCatalog:
     atoms = []
     body = chunks[1:]
     for chunk in body:
+        m = _ATOM.fullmatch(chunk)
+        if m and int(m[1]) == t:
+            atoms.append(Atom(parse_coloring_record(m[2]), m[3] or ""))
+            continue
         lines = chunk.strip().splitlines()
         rec_lines = []
         prov = ""
@@ -472,7 +585,7 @@ def catalog_from_text(text: str) -> AtomCatalog:
                 prov = line.partition(" ")[2]
             else:
                 rec_lines.append(line)
-        cg = parse_coloring_record("\n".join(rec_lines) + "\n")
+        cg = parse_record_lines(rec_lines)
         atoms.append(Atom(cg, prov))
     if len(atoms) != count:
         raise ValueError(f"catalog declares {count} atoms, found {len(atoms)}")

@@ -7,7 +7,11 @@ vertex of the same color.  Used to deduplicate atom catalogs.
 The certificate comes from iterative partition refinement seeded with the
 color classes, in color order; degree enters at the first refinement round,
 whose signatures count each vertex's neighbours per cell.  When refinement
-stalls it branches on the first non-singleton cell.  Worst case
+stalls it branches on the first non-singleton cell, on one vertex of each
+twin class there: vertices with equal open or equal closed neighbourhoods.
+Swapping two such vertices is a colour-preserving automorphism that fixes
+the partition, so their subtrees have the same leaf certificates, and an
+edgeless or complete graph takes one branch per level.  Worst case
 exponential, fine for atom-sized graphs.
 """
 
@@ -91,7 +95,13 @@ def canonical_certificate(g: Graph, c: Coloring) -> bytes:
                 best = cert
             continue
         cell = cells[target]
+        twins = set()
         for v in cell:
+            # open twins share adj[v], closed twins adj[v] | 1 << v; an open
+            # mask never equals a closed one, which would need a self-loop
+            if adj[v] in twins or adj[v] | 1 << v in twins:
+                continue
+            twins.update((adj[v], adj[v] | 1 << v))
             rest = [u for u in cell if u != v]
             stack.append(cells[:target] + [[v], rest] + cells[target + 1:])
     assert best is not None

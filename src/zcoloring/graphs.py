@@ -10,7 +10,9 @@ through one index of the distinct vertex names, so each name is converted to
 an integer once; any other body, and any body the graph would reject, goes
 through a line-by-line reader, which is the error path and names the
 offending line.  Adjacency is built in lists, and the coloring record is
-joined from vertex names made once, one string per vertex for its edges.
+joined from vertex names made once, one string per vertex for its edges.  A
+record as serialize_coloring writes it is matched by one pattern and read by
+position; any other goes through the record's line reader, the error path.
 """
 
 from __future__ import annotations
@@ -61,10 +63,15 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             nbrs[u].append(v)
             nbrs[v].append(u)
+        # sorted lists; a deduplicated tuple only where the set test finds a
+        # duplicate.  The outer tuple is built from a list: one built from a
+        # generator of more than 10 items grows by resizing, which raised the
+        # peak RSS of repeated catalog parses by about 2 MiB
+        adj = []
         for t in nbrs:
             t.sort()
-        # sorted lists; a deduplicated tuple only where the set test finds a duplicate
-        return cls(n, tuple(tuple(t) if len(set(t)) == len(t) else tuple(sorted(set(t))) for t in nbrs))
+            adj.append(tuple(t) if len(set(t)) == len(t) else tuple(sorted(set(t))))
+        return cls(n, tuple(adj))
 
     @property
     def m(self) -> int:
@@ -114,14 +121,19 @@ class Graph:
         edges = [(pos[u], pos[v]) for u, v in self.edges() if u in pos and v in pos]
         return Graph.from_edges(len(keep), edges)
 
-    def has_triangle(self, masks: list[int] | None = None) -> bool:
-        """Whether some edge's endpoints share a neighbor; `masks` are this
-        graph's adjacency_masks() when the caller has built them already."""
-        if masks is None:
-            masks = self.adjacency_masks()
-        for u, v in self.edges():
-            if masks[u] & masks[v]:
-                return True
+    def has_triangle(self) -> bool:
+        """Whether some edge's endpoints share a neighbor, read off the
+        adjacency lists: each vertex's neighbors as a set against the list of
+        each higher neighbor, in O(m * max degree) time and O(max degree)
+        extra memory."""
+        adj = self.adj
+        for u, nbrs in enumerate(adj):
+            if len(nbrs) < 2:
+                continue
+            around = set(nbrs)
+            for v in nbrs:
+                if v > u and not around.isdisjoint(adj[v]):
+                    return True
         return False
 
     def is_connected(self) -> bool:
@@ -150,8 +162,9 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if any((not isinstance(c, int)) or c < 1 for c in self.colors):
-            raise ValueError("colors must be integers >= 1")
+        for c in self.colors:
+            if not isinstance(c, int) or c < 1:
+                raise ValueError("colors must be integers >= 1")
 
     @property
     def n(self) -> int:
@@ -363,12 +376,66 @@ def _record_ints(items, key: str, lineno: int) -> list[int]:
         raise RecordError(f"line {lineno}: non-integer in {key!r} field") from None
 
 
+# a record as serialize_coloring writes it: the fields in order, one space
+# apart, with no blank line and no other whitespace
+RECORD_PATTERN = (r"n [0-9]+\nedges(?: [0-9]+-[0-9]+)*\nk [0-9]+\ncolors(?: [0-9]+)*\n"
+                  r"(?:class [0-9]+(?: [0-9]+)*\n)*(?:star(?: [0-9]+)*\n)?")
+_RECORD = re.compile(RECORD_PATTERN)
+
+
 def parse_coloring_record(text: str) -> ColoredGraph:
     """Parse a record produced by serialize_coloring.  Malformed input raises
-    RecordError naming the field and, where it has one, the line."""
+    RecordError naming the field and, where it has one, the line.
+
+    A text that RECORD_PATTERN matches and that passes every check is read
+    by position, each field's integers in one call; any other text goes
+    through parse_record_lines, the error path, which finds the same record
+    or names what is wrong."""
+    try:
+        cg = _pattern_record(text) if _RECORD.fullmatch(text) else None
+    except ValueError:  # the line reader names the check that failed
+        cg = None
+    return cg if cg is not None else parse_record_lines(text.splitlines())
+
+
+def _pattern_record(text: str) -> ColoredGraph | None:
+    """The record in a text that RECORD_PATTERN matches; None, or the
+    ValueError of int(), Coloring or Graph.from_edges, where a check of
+    parse_record_lines fails.  Only the class lines that serialize_coloring
+    writes, every class in color order, are accepted.  The graph is built
+    last, so a record that falls through to the line reader has not built
+    one."""
+    lines = text.split("\n")  # n, edges, k, colors, class lines, star?, ""
+    n = int(lines[0][2:])
+    # tuple() of a list, not of the map: a tuple of more than 10 items built
+    # from an iterator grows by resizing, and over a bound pass the freed
+    # sizes raised peak RSS by about 2 MiB
+    colors = tuple(list(map(int, lines[3][7:].split())))
+    # checked before the graph is built, so n is bounded by the text's size
+    if len(colors) != n:
+        return None
+    c = Coloring(colors)
+    k = int(lines[2][2:])
+    # k <= n bounds the k lists of Coloring.classes()
+    if c.k != k or k > n:
+        return None
+    star = None
+    if lines[-2].startswith("star"):
+        star = tuple(list(map(int, lines.pop(-2)[5:].split())))
+        if star and max(star) >= n:
+            return None
+    if lines[4:-1] != [f"class {j} " + " ".join(map(str, cls)) for j, cls in enumerate(c.classes(), start=1)]:
+        return None
+    ends = list(map(int, lines[1][6:].replace("-", " ").split()))
+    return ColoredGraph(Graph.from_edges(n, zip(ends[0::2], ends[1::2])), c, star)
+
+
+def parse_record_lines(lines) -> ColoredGraph:
+    """parse_coloring_record's line reader, on a record's lines, which it
+    numbers from 1 in error messages."""
     fields = {}  # key -> (line number, rest of the line)
     classes = {}  # color -> (line number, vertices)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue

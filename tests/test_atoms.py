@@ -317,38 +317,80 @@ def test_prove_upper_bound_validations(d3_catalog, d4_triangle_free_catalog):
 
 
 def test_prove_upper_bound_calls_embed_once_per_atom_tried(monkeypatch, d3_catalog, d4_triangle_free_catalog):
-    # the prover searches through the public embed, passing the host masks it
-    # computed once; each call finds what embed finds on fresh masks, and the
-    # atoms it passes over on the host's cycle rank and bipartiteness are
-    # exactly the ones refuted_by_cycles names, none of which embeds
+    # the prover searches through the public embed, passing the search masks
+    # it built once for the host; each call finds what embed finds on its
+    # own masks, and the atoms it passes over are exactly the ones whose
+    # star degree bound exceeds the host's or that refuted_by_cycles names,
+    # none of which embeds
     from zcoloring import atoms
+    from zcoloring.oracle import star_degree_bound
 
     calls = []
     search = atoms.embed
 
-    def spy(atom, target, *masks):
+    def spy(atom, target, masks):
         calls.append(atom)
-        found = search(atom, target, *masks)
-        assert len(masks) == 2 and found == search(atom, target)
+        found = search(atom, target, masks)
+        assert masks == atoms.search_masks(target) and found == search(atom, target)
         return found
 
     monkeypatch.setattr(atoms, "embed", spy)
     hosts = [(Graph.from_edges(6, [(0, i) for i in range(1, 6)]), d3_catalog),
              (complete_graph(3), d3_catalog), (cycle_graph(6), d3_catalog),
              (cycle_graph(8), d4_triangle_free_catalog), (path_graph(7), d4_triangle_free_catalog),
-             (cycle_graph(7), d4_triangle_free_catalog), (gen_Tk(6).graph, d4_triangle_free_catalog)]
-    skipped_somewhere = False
+             (cycle_graph(7), d4_triangle_free_catalog), (gen_Tk(6).graph, d4_triangle_free_catalog),
+             (gen_Gt(4), d4_triangle_free_catalog)]
+    skipped_by = {"star": False, "cycles": False}
     for g, catalog in hosts:
         calls.clear()
         verdict = prove_upper_bound(g, catalog.t, catalog)
         tried = len(catalog.atoms) if verdict.passed else verdict.witness["atom_index"] + 1
-        facts = atoms.cycle_rank_and_bipartite(g)
-        kept = [a.cg for a in catalog.atoms[:tried] if not atoms.refuted_by_cycles(a.cg.graph, facts)]
-        skipped = [a.cg for a in catalog.atoms[:tried] if atoms.refuted_by_cycles(a.cg.graph, facts)]
+        star, facts = star_degree_bound(g), atoms.cycle_rank_and_bipartite(g)
+        kept, skipped = [], []
+        for a in catalog.atoms[:tried]:
+            by_star = star_degree_bound(a.cg.graph) > star
+            by_cycles = atoms.refuted_by_cycles(a.cg.graph, facts)
+            (skipped if by_star or by_cycles else kept).append(a.cg)
+            skipped_by["star"] |= by_star and not by_cycles
+            skipped_by["cycles"] |= by_cycles and not by_star
         assert calls == kept
         assert all(search(cg, g) is None for cg in skipped)
-        skipped_somewhere |= bool(skipped)
-    assert skipped_somewhere
+    assert skipped_by == {"star": True, "cycles": True}
+
+
+def test_prover_on_large_sparse_hosts_fits_a_small_address_space():
+    # the adjacency bitmasks of a 50 000-vertex host would hold 188 MiB of
+    # bits; on sparse hosts the search reads the adjacency lists instead, so
+    # the prover runs in a child process capped at 128 MiB of address space.
+    # On a random tree it finds atom 37 of d4_full with the map the bitmask
+    # search found, and on a subdivided G(20 000, 30 000), whose star degree
+    # bound is 3, it refutes every atom and certifies z <= 3.
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    catalog = pathlib.Path(__file__).parent.parent / "catalogs" / "d4_full.catalog"
+    code = (
+        "import random, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+        "from zcoloring import Graph, catalog_from_text, prove_upper_bound\n"
+        "from zcoloring.randgraphs import random_tree\n"
+        "catalog = catalog_from_text(open(sys.argv[1]).read())\n"
+        "tree = prove_upper_bound(random_tree(50_000, random.Random(1)), 4, catalog)\n"
+        "print(tree.witness['atom_index'], tree.witness['embedding'])\n"
+        "rng, k, pairs = random.Random(2), 20_000, set()\n"
+        "while len(pairs) < 30_000:\n"
+        "    pairs.add(tuple(sorted(rng.sample(range(k), 2))))\n"
+        "halves = [e for i, (u, v) in enumerate(sorted(pairs)) for e in ((u, k + i), (k + i, v))]\n"
+        "print(prove_upper_bound(Graph.from_edges(k + len(pairs), halves), 4, catalog).witness)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code, str(catalog)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("37 (4, 9929, 44387, 16523, 37343, 9888, 9447, 41222, 46485, 13808, 41208, 15230, "
+                           "47888, 46236)\n{'bound': 3}\n")
 
 
 def test_cycle_rank_and_bipartite_small_graphs():
@@ -394,6 +436,125 @@ def test_catalog_from_text_rejects_malformed_input(text, message):
         catalog_from_text(text)
 
 
+def reference_catalog_from_text(text):
+    """`catalog_from_text` as it was before atoms that `atoms._ATOM` matches
+    were read by pattern; the body is unchanged but for the record lines
+    going to the line reader, which the joined text reached before."""
+    from zcoloring import graphs
+    from zcoloring.atoms import Atom, AtomCatalog, _header_int
+
+    chunks = [c for c in text.split("\n\n") if c.strip()]
+    if not chunks:
+        raise ValueError("empty catalog: missing 'zatoms' header")
+    head = chunks[0].strip().splitlines()[0].split()
+    if head[0] != "zatoms":
+        raise ValueError("not a z-atom catalog")
+    if len(head) != 7 or head[1::2] != ["t", "triangle_free", "count"]:
+        raise ValueError(f"malformed catalog header {' '.join(head)!r}, "
+                         "expected 'zatoms t T triangle_free 0|1 count N'")
+    t = _header_int("t", head[2])
+    triangle_free = _header_int("triangle_free", head[4])
+    if triangle_free not in (0, 1):
+        raise ValueError(f"catalog: triangle_free must be 0 or 1, got {triangle_free}")
+    count = _header_int("count", head[6])
+    atoms = []
+    body = chunks[1:]
+    for chunk in body:
+        lines = chunk.strip().splitlines()
+        rec_lines = []
+        prov = ""
+        for line in lines:
+            if line.startswith("t "):
+                if _header_int("atom t", line[2:].strip()) != t:
+                    raise ValueError("atom t differs from catalog t")
+            elif line.startswith("provenance"):
+                prov = line.partition(" ")[2]
+            else:
+                rec_lines.append(line)
+        cg = graphs.parse_record_lines(rec_lines)
+        atoms.append(Atom(cg, prov))
+    if len(atoms) != count:
+        raise ValueError(f"catalog declares {count} atoms, found {len(atoms)}")
+    return AtomCatalog(t, atoms, bool(triangle_free))
+
+
+def test_catalog_from_text_matches_the_line_reader(d3_catalog, d4_triangle_free_catalog):
+    # on checked-in, rewritten and byte-mutated catalogs the pattern path
+    # and the line loop give the same catalog or the same error
+    from conftest import mutated
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = type(d4_triangle_free_catalog)(4, d4_triangle_free_catalog.atoms[:3], True)
+    bases = [catalog_to_text(d3_catalog), catalog_to_text(small)]
+
+    @st.composite
+    def rewritten(draw):
+        # line changes the pattern must not read past: a t or provenance
+        # line moved into the record, repeated or changed, and line breaks
+        # and blanks that the line loop strips or splits on
+        chunks = draw(st.sampled_from(bases)).split("\n\n")
+        i = draw(st.integers(1, len(chunks) - 1))
+        lines = chunks[i].splitlines()
+        op = draw(st.sampled_from(["t-late", "t-twice", "t-other", "prov-early", "prov-twice",
+                                   "prov-blank", "prov-break", "prov-none", "pad", "crlf"]))
+        if op == "t-late":
+            lines.insert(draw(st.integers(1, len(lines))), lines.pop(0))
+        elif op == "t-twice":
+            lines.insert(draw(st.integers(1, len(lines))), lines[0])
+        elif op == "t-other":
+            lines[0] = draw(st.sampled_from(["t 5", "t  4", "t 04", "t x", " t 4"]))
+        elif op == "prov-early":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop())
+        elif op == "prov-twice":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), "provenance other")
+        elif op == "prov-blank":
+            lines[-1] += draw(st.sampled_from([" ", "\t", "  x ", "\x0c"]))
+        elif op == "prov-break":
+            lines[-1] += draw(st.sampled_from(["\rn 2", "\x0bk 3", "\x85", "\u2028z"]))
+        elif op == "prov-none":
+            lines[-1] = draw(st.sampled_from(["provenance", "provenance ", "provenancex", "provenance  y"]))
+        elif op == "pad":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[j] = draw(st.sampled_from([" ", "", "\t"])) + lines[j] + draw(st.sampled_from([" ", ""]))
+        else:
+            chunks[i] = "\r\n".join(lines)
+            return "\n\n".join(chunks)
+        chunks[i] = "\n".join(lines)
+        return "\n\n".join(chunks)
+
+    texts = st.one_of(st.sampled_from(bases), rewritten(),
+                      mutated(st, st.sampled_from(bases)).map(lambda b: b.decode("latin-1")))
+
+    def outcome(read, text):
+        try:
+            return read(text)
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+    @hypothesis.settings(max_examples=800, deadline=None, database=None)
+    @hypothesis.given(texts)
+    def check(text):
+        assert outcome(catalog_from_text, text) == outcome(reference_catalog_from_text, text), text
+
+    check()
+
+
+def test_checked_in_catalogs_take_the_pattern_path(monkeypatch):
+    import pathlib
+
+    from zcoloring import atoms, graphs
+
+    def refuse(lines):
+        raise AssertionError("a checked-in atom went to the line reader")
+
+    monkeypatch.setattr(atoms, "parse_record_lines", refuse)
+    monkeypatch.setattr(graphs, "parse_record_lines", refuse)
+    for path in sorted((pathlib.Path(__file__).parent.parent / "catalogs").glob("*.catalog")):
+        text = path.read_text()
+        assert catalog_to_text(catalog_from_text(text)) == text
+
+
 def test_atoms_have_valid_stars_and_minimal_edges(d3_catalog, d4_triangle_free_catalog):
     from zcoloring.verify import verify_star
 
@@ -423,13 +584,14 @@ def test_minimality_filter_is_load_bearing(d4_triangle_free_catalog):
 
 @pytest.mark.parametrize("args, reaches, searches, nodes, certificates", [
     ((3, False, False), 9, 1, 5, 5),
-    ((4, True, False), 432, 177, 5_263, 123),
-    ((4, False, True), 1_579, 891, 22_234, 822),
+    ((4, True, False), 405, 152, 4_312, 123),
+    ((4, False, True), 1_446, 767, 18_207, 822),
 ], ids=["d3", "d4_trianglefree", "d4_full"])
 def test_catalog_generation_work_pinned(monkeypatch, args, reaches, searches, nodes, certificates):
     # z_reaches calls of the edge-minimality test, z searches and their
     # nodes, and canonical certificates: one per dedup candidate, none more
-    # to sort the catalog
+    # to sort the catalog.  A G - e that an earlier candidate of the same run
+    # produced is answered from the memo, without a z_reaches call
     from zcoloring import atoms, oracle
 
     counts = [0, 0, 0, 0]

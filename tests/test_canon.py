@@ -126,3 +126,24 @@ def test_discriminates_degree_by_color_histograms():
     a = ColoredGraph(g, Coloring((1, 2, 1)))
     b = ColoredGraph(g, Coloring((2, 1, 2)))
     assert colored_canonical_form(a) != colored_canonical_form(b)
+
+
+def test_twin_classes_branch_once_per_level():
+    # every vertex of an edgeless graph is an open twin of every other, and
+    # of a complete graph a closed twin, so the branching takes one vertex
+    # per level: 12 refinements, where branching on every vertex of the
+    # stalled cell would visit 12! leaves
+    import time
+    from unittest import mock
+
+    from zcoloring import canon
+
+    for g in (Graph.from_edges(12, []), complete_graph(12)):
+        refine = canon._refine
+        with mock.patch.object(canon, "_refine", side_effect=refine) as spy:
+            start = time.perf_counter()
+            cert = canon.canonical_certificate(g, Coloring((1,) * 12))
+            assert time.perf_counter() - start < 1.0
+        assert spy.call_count == 12
+        relabeled = Graph.from_edges(12, [(11 - u, 11 - v) for u, v in g.edges()])
+        assert canon.canonical_certificate(relabeled, Coloring((1,) * 12)) == cert

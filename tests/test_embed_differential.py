@@ -1,7 +1,11 @@
 """Differential tests: `zcoloring.embed` against a brute-force matcher kept
 here, which tries every injective map of the atom into the host, on random
-hosts of at most 8 vertices; and `prove_upper_bound` against a loop that runs
-`embed` on every catalog atom in order, on hosts of at most 16 vertices."""
+hosts of at most 8 vertices, and its search on adjacency lists and its search
+on bitmasks against `reference_embed`, a frozen copy of the bitmask search
+from before the list search was added, on the prover's hosts and on dense
+G(n, p);
+and `prove_upper_bound` against a loop that runs `embed` on every catalog
+atom in order, on hosts of at most 16 vertices."""
 
 import itertools
 import pathlib
@@ -10,7 +14,8 @@ import random
 import pytest
 
 from zcoloring import Graph, catalog_from_text, embed, prove_upper_bound
-from zcoloring.atoms import cycle_rank_and_bipartite, embedding_valid, refuted_by_cycles
+from zcoloring.atoms import Embedding, cycle_rank_and_bipartite, embedding_valid, refuted_by_cycles, search_masks
+from zcoloring.oracle import star_degree_bound
 from zcoloring.randgraphs import gnp, random_tree
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -35,6 +40,83 @@ def hosts(draw):
     return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
 
 
+def _degree_masks(g, top):
+    """deg_ok[d] is the bitmask of the vertices of g with degree >= d, for
+    d = 0..top."""
+    deg_ok = [0] * (top + 1)
+    for u, nbrs in enumerate(g.adj):
+        deg_ok[min(len(nbrs), top)] |= 1 << u
+    for d in range(top - 1, -1, -1):
+        deg_ok[d] |= deg_ok[d + 1]
+    return deg_ok
+
+
+def reference_embed(atom, target, adj=None, deg_ok=None):
+    """`atoms.embed` as it was when each level's candidates were one bitmask
+    over the host's adjacency masks; the body is unchanged."""
+    h, c = atom.graph, atom.coloring
+    nh, nt = h.n, target.n
+    if nh > nt:
+        return None
+    if nh == 0:
+        return Embedding(())
+    if adj is None:
+        adj = target.adjacency_masks()
+    if deg_ok is None:
+        deg_ok = _degree_masks(target, h.max_degree())
+
+    # each next vertex is the first unplaced one by (-degree, index) that
+    # has a placed neighbor, or the first unplaced one when none has
+    rest = sorted(range(nh), key=lambda x: (-len(h.adj[x]), x))
+    near = [False] * nh
+    order: list[int] = []
+    while rest:
+        v = next((x for x in rest if near[x]), rest[0])
+        rest.remove(v)
+        order.append(v)
+        for w in h.adj[v]:
+            near[w] = True
+
+    pos = {v: i for i, v in enumerate(order)}
+    levels = [
+        (
+            v,
+            deg_ok[h.degree(v)],
+            [w for w in h.adj[v] if pos[w] < pos[v]],
+            [w for w in range(nh) if w != v and c.colors[w] == c.colors[v] and pos[w] < pos[v]],
+        )
+        for v in order
+    ]
+    mapping = [-1] * nh
+    untried = [0] * nh
+    free = (1 << nt) - 1
+    i = 0
+    while True:
+        v, pool, nbrs, same = levels[i]
+        pool &= free
+        for w in nbrs:
+            pool &= adj[mapping[w]]
+        for w in same:
+            pool &= ~adj[mapping[w]]
+        while not pool:  # backtrack to the deepest level with a candidate left
+            i -= 1
+            if i < 0:
+                return None
+            v = levels[i][0]
+            free |= 1 << mapping[v]
+            pool = untried[i]
+        low = pool & -pool
+        untried[i] = pool ^ low
+        mapping[v] = low.bit_length() - 1
+        if i + 1 == nh:
+            break
+        free ^= low
+        i += 1
+    if not embedding_valid(atom, target, mapping):
+        raise AssertionError("embedding search returned an invalid map")
+    return Embedding(tuple(mapping))
+
+
 def brute_force_embeds(atom, host) -> bool:
     h, colors = atom.graph, atom.coloring.colors
     edges = h.edges()
@@ -52,6 +134,7 @@ def test_embed_matches_brute_force(host):
     for atom in ATOMS:
         emb = embed(atom, host)
         assert (emb is not None) == brute_force_embeds(atom, host)
+        assert embed(atom, host, None) == emb
         if emb is not None:
             assert embedding_valid(atom, host, emb.mapping)
 
@@ -81,10 +164,10 @@ def bound_hosts(draw):
 @hypothesis.settings(max_examples=150, deadline=None, database=None)
 @hypothesis.given(bound_hosts())
 def test_prove_upper_bound_matches_embedding_every_atom(host):
-    facts = cycle_rank_and_bipartite(host)
+    facts, star = cycle_rank_and_bipartite(host), star_degree_bound(host)
     for catalog in CATALOG_SETS:
         for atom in catalog.atoms:
-            if refuted_by_cycles(atom.cg.graph, facts):
+            if refuted_by_cycles(atom.cg.graph, facts) or star_degree_bound(atom.cg.graph) > star:
                 assert embed(atom.cg, host) is None
         if catalog.triangle_free and host.has_triangle():
             with pytest.raises(ValueError, match="triangle-filtered"):
@@ -102,3 +185,51 @@ def test_prove_upper_bound_matches_embedding_every_atom(host):
         else:
             assert not verdict.passed
             assert (verdict.witness["atom_index"], verdict.witness["embedding"]) == first
+
+
+def _first_maps(atom, host):
+    """The first embedding, or None, that the list search, the mask search
+    and the reference find."""
+    found = [embed(atom, host, None), embed(atom, host, search_masks(host)), reference_embed(atom, host)]
+    return [None if emb is None else emb.mapping for emb in found]
+
+
+@hypothesis.settings(max_examples=60, deadline=None, database=None)
+@hypothesis.given(bound_hosts())
+def test_embed_matches_bitmask_reference_on_bound_hosts(host):
+    # each catalog's atoms up to the first that embeds: the searches a
+    # prover without refutations runs.  Hosts with more than half of their
+    # vertex pairs joined are left to the fixed hosts below: where an atom
+    # does not embed in one, the list search takes about 6x the bitmask
+    # search's time, up to seconds
+    hypothesis.assume(4 * host.m <= host.n * (host.n - 1))
+    for catalog in CATALOG_SETS:
+        for atom in catalog.atoms:
+            lists, masks, reference = _first_maps(atom.cg, host)
+            assert lists == masks == reference
+            if lists is not None:
+                break
+
+
+def _subdivided(k, p, seed):
+    base = gnp(k, p, random.Random(seed)).edges()
+    return Graph.from_edges(k + len(base), [e for i, (u, v) in enumerate(base) for e in ((u, k + i), (k + i, v))])
+
+
+# dense hosts on which no search takes long on any atom (where an atom with
+# a large color class does not embed in a dense host, the searches backtrack
+# through exponentially many partial maps), and sparse hosts large enough
+# that embed searches them on their adjacency lists
+@pytest.mark.parametrize("host", [gnp(12, 0.5, random.Random(1)), gnp(20, 0.3, random.Random(2)),
+                                  gnp(30, 0.5, random.Random(3)), gnp(50, 0.4, random.Random(9)),
+                                  gnp(60, 0.5, random.Random(5)), random_tree(300, random.Random(6)),
+                                  _subdivided(40, 0.1, 7), gnp(200, 0.02, random.Random(8))],
+                         ids=["gnp12", "gnp20", "gnp30", "gnp50", "gnp60", "tree300", "subdivided40", "gnp200"])
+def test_embed_matches_bitmask_reference_on_fixed_hosts(host):
+    found = 0
+    for catalog in CATALOG_SETS:
+        for atom in catalog.atoms:
+            lists, masks, reference = _first_maps(atom.cg, host)
+            assert lists == masks == reference
+            found += lists is not None
+    assert found > 0

@@ -217,6 +217,77 @@ def test_record_round_trip_random():
         assert parse_coloring_record(serialize_colored_graph(cg)) == cg
 
 
+def test_pattern_records_match_the_line_reader():
+    # parse_coloring_record reads a record that RECORD_PATTERN matches by
+    # position and any other through parse_record_lines; on serialized,
+    # rewritten and byte-mutated records the two must give the same record
+    # or the same error
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def records(draw):
+        # colorings need not be proper, use every color or match the star,
+        # so most of the record checks can fail; most records still use
+        # every color and keep the star in range, as serialized ones do
+        g = draw(small_graphs(st, 7))
+        colors = Coloring(tuple(draw(st.lists(st.sampled_from([1, 1, 2, 3, 9]), min_size=g.n, max_size=g.n))))
+        if draw(st.booleans()):
+            colors = colors.normalize()
+        star = draw(st.one_of(st.none(), st.lists(st.integers(0, max(g.n - 1, 0) + draw(st.integers(0, 2))),
+                                                  min_size=1, max_size=4).map(tuple)))
+        lines = serialize_coloring(g, colors, star).splitlines()
+        op = draw(st.sampled_from(["keep", "drop", "repeat", "swap", "class"]))
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "class" and lines[i].startswith("class"):
+            # a class line with a vertex or its color changed
+            words = lines[i].split()
+            at = draw(st.integers(1, len(words) - 1))
+            words[at] = str(draw(st.integers(0, g.n + 1)))
+            lines[i] = " ".join(words)
+        return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+    texts = st.one_of(records(), mutated(st, records()).map(lambda b: b.decode("latin-1")))
+
+    def read_lines(text):
+        return graphs.parse_record_lines(text.splitlines())
+
+    @hypothesis.settings(max_examples=800, deadline=None, database=None)
+    @hypothesis.given(texts)
+    def check(text):
+        assert outcome(parse_coloring_record, text) == outcome(read_lines, text), text
+
+    check()
+    # integers past int()'s default limit of 4300 digits, in each field
+    big = "1" * 5000
+    for text in (f"n {big}\nedges\nk 1\ncolors 1\n", f"n 2\nedges 0-{big}\nk 1\ncolors 1 1\nclass 1 0 1\n",
+                 f"n 1\nedges\nk {big}\ncolors 1\n", f"n 1\nedges\nk 1\ncolors {big}\n",
+                 f"n 1\nedges\nk 1\ncolors 1\nclass 1 0\nstar {big}\n"):
+        assert isinstance(outcome(parse_coloring_record, text)[0], str)
+        assert outcome(parse_coloring_record, text) == outcome(read_lines, text), text
+
+
+def test_serialized_records_take_the_pattern_path(monkeypatch):
+    # every class is used and the star, where there is one, is not empty, so
+    # serialize_coloring writes no line with a trailing space
+    def refuse(lines):
+        raise AssertionError("a serialized record went to the line reader")
+
+    monkeypatch.setattr(graphs, "parse_record_lines", refuse)
+    rng = random.Random(4)
+    for g in (Graph.from_edges(0, []), Graph.from_edges(3, []), path_graph(5), gnp(40, 0.3, rng)):
+        colors = tuple(1 + v % 3 for v in range(g.n))
+        for star in (None, tuple(range(min(g.n, 3))) or None):
+            cg = ColoredGraph(g, Coloring(colors), star)
+            assert parse_coloring_record(serialize_colored_graph(cg)) == cg
+
+
 def test_record_errors():
     with pytest.raises(RecordError):
         parse_coloring_record("n 2\nk 1\n")  # missing colors
