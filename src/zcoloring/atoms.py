@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from .canon import colored_canonical_form
-from .graphs import (RECORD_PATTERN, ColoredGraph, Coloring, Graph, parse_coloring_record, parse_record_lines,
+from .graphs import (RECORD_PATTERN, ColoredGraph, Coloring, Graph, parse_matched_record, parse_record_lines,
                      serialize_colored_graph)
 from .oracle import star_degree_bound, z_reaches
 from .verify import Verdict, Violation, check_z, neighbor_colors, verify_star
@@ -269,23 +269,24 @@ def embedding_valid(atom: ColoredGraph, target: Graph, mapping) -> bool:
     return True
 
 
-# embed searches on bitmasks while they take at most this many bits per
-# adjacency-list entry, a quarter of the entry's own 64-bit pointer: on a
-# dense host one AND filters a level's candidates, where the list search
-# draws and tests each (4-5x slower on G(15, 0.6-0.8) where an atom does
-# not embed), and on a sparse host the lists are as fast and need no masks
-MASK_BITS_PER_ENTRY = 16
+# embed searches on bitmasks unless they would take more than this many
+# bits (8 MiB, n of about 8 000).  Below it the bitmask search is the faster
+# one: one AND filters a level's candidates, where the list search draws and
+# tests each.  Over the atoms of d4_full on sparse G(n, c/n), the list
+# search took 1-3.4x as long (median 2.2x) at n <= 4 000, as long at
+# n = 8 000 and less above, as each AND grows with n (BENCH_29.json,
+# "mask_crossover").
+MASK_LIMIT_BITS = 1 << 26
 
 
 def search_masks(g: Graph) -> tuple[list[int], list[int]] | None:
     """The bitmasks embed searches g on: each vertex's neighborhood, and
     deg_ok[d], the vertices of degree >= d, for d = 0..max degree + 1.  None
     when their n bits per vertex and per degree would exceed
-    MASK_BITS_PER_ENTRY bits per entry of g's adjacency lists (n + 2m
-    entries), so that a large sparse host is searched on its lists in
+    MASK_LIMIT_BITS; embed then searches g on its adjacency lists, in
     O(n + m) memory."""
     n, top = g.n, g.max_degree() + 1
-    if n * (n + top + 1) > MASK_BITS_PER_ENTRY * (n + sum(map(len, g.adj))):
+    if n * (n + top + 1) > MASK_LIMIT_BITS:
         return None
     deg_ok = [0] * (top + 1)
     for u, nbrs in enumerate(g.adj):
@@ -295,26 +296,24 @@ def search_masks(g: Graph) -> tuple[list[int], list[int]] | None:
     return g.adjacency_masks(), deg_ok
 
 
-def embed(atom: ColoredGraph, target: Graph,
-          masks: tuple[list[int], list[int]] | None | bool = True) -> Embedding | None:
+def embed(atom: ColoredGraph, target: Graph) -> Embedding | None:
     """Complete backtracking search for an embedding of the colored atom into
-    the (uncolored) target; None when none exists.  `masks` is what
-    search_masks(target) returns, for a caller that searches many atoms on
-    one target; by default embed calls it.
+    the (uncolored) target; None when none exists.
 
     Atom vertices are placed in a fixed order, each next to an already placed
     neighbor, its anchor, where one exists.  A candidate for a level must be
     free, of degree at least the atom vertex's, adjacent to the images of
     the placed neighbors and non-adjacent to the images of the placed
-    same-colored vertices.  With masks a level's candidates are one bitmask
-    of those conditions.  Without them, a level with an anchor draws its
-    candidates from the adjacency list of the anchor's image and a level
-    without one (the first, and the first of each further atom component)
-    from all target vertices, and each draw is tested; this reads only the
-    target's adjacency lists, so the search needs O(n + m) memory.  Either
-    way the candidates are tried in ascending order, so the first embedding
-    found is the lexicographically first in that vertex order, and the two
-    searches find the same one.
+    same-colored vertices.  On the masks of search_masks a level's
+    candidates are one bitmask of those conditions.  On a target too large
+    for them, a level with an anchor draws its candidates from the adjacency
+    list of the anchor's image and a level without one (the first, and the
+    first of each further atom component) from all target vertices, and
+    each draw is tested; this reads only the target's adjacency lists, so
+    the search needs O(n + m) memory.  Either way the candidates are tried
+    in ascending order, so the first embedding found is the
+    lexicographically first in that vertex order, and the two searches find
+    the same one.
 
     The degree test cuts nothing that embeds: the map is injective and keeps
     edges, so each image has at least its atom vertex's degree.  By the same
@@ -324,18 +323,37 @@ def embed(atom: ColoredGraph, target: Graph,
     keeps each entered level's untried candidates in a list instead of
     recursing, so a call leaves no reference cycle behind.
     """
-    h, c = atom.graph, atom.coloring
-    nh, nt = h.n, target.n
-    if nh > nt:
+    return _embed(atom, target, search_masks(target))
+
+
+def _embed(atom: ColoredGraph, target: Graph, masks) -> Embedding | None:
+    """embed on `masks`, what search_masks(target) returns, which the prover
+    computes once for all the atoms it searches on one target."""
+    nh = atom.graph.n
+    if nh > target.n:
         return None
     if nh == 0:
         return Embedding(())
+    levels = _levels(atom)
+    if masks is None:
+        mapping = _search_lists(levels, target)
+    else:
+        mapping = _search_masks(levels, target.n, *masks)
+    if mapping is None:
+        return None
+    if not embedding_valid(atom, target, mapping):
+        raise AssertionError("embedding search returned an invalid map")
+    return Embedding(tuple(mapping))
 
-    # each next vertex is the first unplaced one by (-degree, index) that
-    # has a placed neighbor, or the first unplaced one when none has; its
-    # level holds its degree, its placed neighbors (the first is the anchor)
-    # and its placed same-colored vertices
-    hadj, colors = h.adj, c.colors
+
+def _levels(atom: ColoredGraph) -> list[tuple[int, int, list[int], list[int]]]:
+    """embed's search levels, in placing order: each next vertex is the first
+    unplaced one by (-degree, index) that has a placed neighbor, or the
+    first unplaced one when none has; its level holds the vertex, its
+    degree, its placed neighbors (the first is the anchor) and its placed
+    same-colored vertices."""
+    hadj, colors = atom.graph.adj, atom.coloring.colors
+    nh = len(hadj)
     rest = sorted(range(nh), key=lambda x: -len(hadj[x]))
     near = [False] * nh
     placed = [False] * nh
@@ -355,18 +373,7 @@ def embed(atom: ColoredGraph, target: Graph,
         placed[v] = True
         for w in hadj[v]:
             near[w] = True
-
-    if masks is True:
-        masks = search_masks(target)
-    if masks is None:
-        mapping = _search_lists(levels, target)
-    else:
-        mapping = _search_masks(levels, nt, *masks)
-    if mapping is None:
-        return None
-    if not embedding_valid(atom, target, mapping):
-        raise AssertionError("embedding search returned an invalid map")
-    return Embedding(tuple(mapping))
+    return levels
 
 
 def _search_masks(levels, nt: int, adj: list[int], deg_ok: list[int]) -> list[int] | None:
@@ -495,8 +502,10 @@ def prove_upper_bound(g: Graph, t: int, catalog: AtomCatalog) -> Verdict:
     star on t vertices, so a host whose bound is below t searches none; a
     tree host searches only forest atoms, a bipartite one only bipartite
     atoms.  Since a skipped atom cannot embed, the verdict, the atom index
-    and the embedding are those of searching every atom.  The search reads
-    only g's adjacency lists, so the prover needs O(n + m) memory.
+    and the embedding are those of searching every atom.  The masks of
+    search_masks are built once, for the first atom searched, and only up
+    to MASK_LIMIT_BITS; a larger g is searched on its adjacency lists, so
+    the prover's memory is O(n + m) beyond at most that many bits.
     """
     if catalog.t != t:
         raise ValueError(f"catalog is for t={catalog.t}, asked about t={t}")
@@ -505,13 +514,13 @@ def prove_upper_bound(g: Graph, t: int, catalog: AtomCatalog) -> Verdict:
     if catalog.triangle_free and not host[1] and g.has_triangle():
         raise ValueError("triangle-filtered catalog cannot bound a graph with a triangle")
     star = star_degree_bound(g)
-    masks = True  # built for the first atom searched, if any
+    masks, searched = None, False  # the masks are built for the first atom searched
     for idx, atom in enumerate(catalog.atoms):
         if star_degree_bound(atom.cg.graph) > star or refuted_by_cycles(atom.cg.graph, host):
             continue
-        if masks is True:
-            masks = search_masks(g)
-        emb = embed(atom.cg, g, masks)
+        if not searched:
+            masks, searched = search_masks(g), True
+        emb = _embed(atom.cg, g, masks)
         if emb is not None:
             return Verdict(
                 False,
@@ -549,10 +558,11 @@ def catalog_from_text(text: str) -> AtomCatalog:
     """Parse the text written by catalog_to_text; malformed input raises
     ValueError (RecordError for a bad atom record) naming the problem.
 
-    An atom that _ATOM matches goes to parse_coloring_record as the slice
-    of its record; any other goes through the line loop below, which passes
-    the record's lines to parse_record_lines as they are.  Both see the
-    same record lines, numbered alike in error messages."""
+    An atom that _ATOM matches goes to parse_matched_record as the slice of
+    its record, so the pattern is matched once per atom; any other goes
+    through the line loop below, which passes the record's lines to
+    parse_record_lines as they are.  Both see the same record lines,
+    numbered alike in error messages."""
     chunks = [c for c in text.split("\n\n") if c.strip()]
     if not chunks:
         raise ValueError("empty catalog: missing 'zatoms' header")
@@ -572,7 +582,7 @@ def catalog_from_text(text: str) -> AtomCatalog:
     for chunk in body:
         m = _ATOM.fullmatch(chunk)
         if m and int(m[1]) == t:
-            atoms.append(Atom(parse_coloring_record(m[2]), m[3] or ""))
+            atoms.append(Atom(parse_matched_record(m[2]), m[3] or ""))
             continue
         lines = chunk.strip().splitlines()
         rec_lines = []

@@ -387,12 +387,20 @@ def parse_coloring_record(text: str) -> ColoredGraph:
     """Parse a record produced by serialize_coloring.  Malformed input raises
     RecordError naming the field and, where it has one, the line.
 
-    A text that RECORD_PATTERN matches and that passes every check is read
-    by position, each field's integers in one call; any other text goes
-    through parse_record_lines, the error path, which finds the same record
-    or names what is wrong."""
+    A text that RECORD_PATTERN matches goes to parse_matched_record; any
+    other text goes through parse_record_lines, the error path, which finds
+    the same record or names what is wrong."""
+    if _RECORD.fullmatch(text):
+        return parse_matched_record(text)
+    return parse_record_lines(text.splitlines())
+
+
+def parse_matched_record(text: str) -> ColoredGraph:
+    """parse_coloring_record on a text that RECORD_PATTERN is known to
+    match: read by position, each field's integers in one call, when it
+    passes every check, else through parse_record_lines."""
     try:
-        cg = _pattern_record(text) if _RECORD.fullmatch(text) else None
+        cg = _pattern_record(text)
     except ValueError:  # the line reader names the check that failed
         cg = None
     return cg if cg is not None else parse_record_lines(text.splitlines())

@@ -317,24 +317,23 @@ def test_prove_upper_bound_validations(d3_catalog, d4_triangle_free_catalog):
 
 
 def test_prove_upper_bound_calls_embed_once_per_atom_tried(monkeypatch, d3_catalog, d4_triangle_free_catalog):
-    # the prover searches through the public embed, passing the search masks
-    # it built once for the host; each call finds what embed finds on its
-    # own masks, and the atoms it passes over are exactly the ones whose
-    # star degree bound exceeds the host's or that refuted_by_cycles names,
-    # none of which embeds
+    # the prover searches through embed's private entry point, passing the
+    # search masks it built once for the host, the ones the public embed
+    # would build; the atoms it passes over are exactly the ones whose star
+    # degree bound exceeds the host's or that refuted_by_cycles names, none
+    # of which embeds
     from zcoloring import atoms
     from zcoloring.oracle import star_degree_bound
 
     calls = []
-    search = atoms.embed
+    search, private = atoms.embed, atoms._embed
 
     def spy(atom, target, masks):
         calls.append(atom)
-        found = search(atom, target, masks)
-        assert masks == atoms.search_masks(target) and found == search(atom, target)
-        return found
+        assert masks == atoms.search_masks(target)
+        return private(atom, target, masks)
 
-    monkeypatch.setattr(atoms, "embed", spy)
+    monkeypatch.setattr(atoms, "_embed", spy)
     hosts = [(Graph.from_edges(6, [(0, i) for i in range(1, 6)]), d3_catalog),
              (complete_graph(3), d3_catalog), (cycle_graph(6), d3_catalog),
              (cycle_graph(8), d4_triangle_free_catalog), (path_graph(7), d4_triangle_free_catalog),
@@ -358,10 +357,36 @@ def test_prove_upper_bound_calls_embed_once_per_atom_tried(monkeypatch, d3_catal
     assert skipped_by == {"star": True, "cycles": True}
 
 
+def test_embed_searches_lists_above_the_mask_limit(monkeypatch, d3_catalog, d4_triangle_free_catalog):
+    # search_masks gives None exactly where the masks would take more than
+    # MASK_LIMIT_BITS; embed and the prover then build no adjacency masks
+    # and find what they find on the masks
+    from zcoloring import atoms
+
+    hosts = [gen_Tk(7).graph, cycle_graph(9), gen_Gt(4), path_graph(30)]
+    found = [embed(a.cg, g) for g in hosts for a in d3_catalog.atoms + d4_triangle_free_catalog.atoms]
+    verdicts = [prove_upper_bound(g, 4, d4_triangle_free_catalog).witness for g in hosts]
+    assert atoms.search_masks(path_graph(30)) is not None
+    bits = 30 * (30 + 4)  # 30 bits for each vertex and for each degree 0..3
+    monkeypatch.setattr(atoms, "MASK_LIMIT_BITS", bits)
+    assert atoms.search_masks(path_graph(30)) is not None
+    monkeypatch.setattr(atoms, "MASK_LIMIT_BITS", bits - 1)
+    assert atoms.search_masks(path_graph(30)) is None
+
+    def refuse(_g):
+        raise AssertionError("adjacency masks built above the mask limit")
+
+    monkeypatch.setattr(atoms, "MASK_LIMIT_BITS", 0)
+    monkeypatch.setattr(Graph, "adjacency_masks", refuse)
+    assert [embed(a.cg, g) for g in hosts for a in d3_catalog.atoms + d4_triangle_free_catalog.atoms] == found
+    assert [prove_upper_bound(g, 4, d4_triangle_free_catalog).witness for g in hosts] == verdicts
+
+
 def test_prover_on_large_sparse_hosts_fits_a_small_address_space():
     # the adjacency bitmasks of a 50 000-vertex host would hold 188 MiB of
-    # bits; on sparse hosts the search reads the adjacency lists instead, so
-    # the prover runs in a child process capped at 128 MiB of address space.
+    # bits; above MASK_LIMIT_BITS the search reads the adjacency lists
+    # instead, so the prover runs in a child process capped at 128 MiB of
+    # address space.
     # On a random tree it finds atom 37 of d4_full with the map the bitmask
     # search found, and on a subdivided G(20 000, 30 000), whose star degree
     # bound is 3, it refutes every atom and certifies z <= 3.

@@ -14,7 +14,8 @@ import random
 import pytest
 
 from zcoloring import Graph, catalog_from_text, embed, prove_upper_bound
-from zcoloring.atoms import Embedding, cycle_rank_and_bipartite, embedding_valid, refuted_by_cycles, search_masks
+from zcoloring import atoms
+from zcoloring.atoms import Embedding, cycle_rank_and_bipartite, embedding_valid, refuted_by_cycles
 from zcoloring.oracle import star_degree_bound
 from zcoloring.randgraphs import gnp, random_tree
 
@@ -134,7 +135,7 @@ def test_embed_matches_brute_force(host):
     for atom in ATOMS:
         emb = embed(atom, host)
         assert (emb is not None) == brute_force_embeds(atom, host)
-        assert embed(atom, host, None) == emb
+        assert _first_maps(atom, host)[0] == (None if emb is None else emb.mapping)
         if emb is not None:
             assert embedding_valid(atom, host, emb.mapping)
 
@@ -188,10 +189,18 @@ def test_prove_upper_bound_matches_embedding_every_atom(host):
 
 
 def _first_maps(atom, host):
-    """The first embedding, or None, that the list search, the mask search
-    and the reference find."""
-    found = [embed(atom, host, None), embed(atom, host, search_masks(host)), reference_embed(atom, host)]
-    return [None if emb is None else emb.mapping for emb in found]
+    """The first map, or None, that the list search, the mask search and the
+    reference find; each of the first two on any host, whatever search
+    embed would choose for it."""
+    reference = reference_embed(atom, host)
+    if atom.graph.n > host.n or atom.graph.n == 0:
+        return [None if reference is None else reference.mapping] * 3
+    levels = atoms._levels(atom)
+    lists = atoms._search_lists(levels, host)
+    masks = atoms._search_masks(levels, host.n, host.adjacency_masks(), _degree_masks(host, host.max_degree() + 1))
+    for mapping in (lists, masks):
+        assert mapping is None or embedding_valid(atom, host, mapping)
+    return [None if m is None else tuple(m) for m in (lists, masks)] + [None if reference is None else reference.mapping]
 
 
 @hypothesis.settings(max_examples=60, deadline=None, database=None)
@@ -218,8 +227,8 @@ def _subdivided(k, p, seed):
 
 # dense hosts on which no search takes long on any atom (where an atom with
 # a large color class does not embed in a dense host, the searches backtrack
-# through exponentially many partial maps), and sparse hosts large enough
-# that embed searches them on their adjacency lists
+# through exponentially many partial maps), and sparse hosts: a tree, a
+# subdivided G(k, p) and a G(n, p) with odd cycles
 @pytest.mark.parametrize("host", [gnp(12, 0.5, random.Random(1)), gnp(20, 0.3, random.Random(2)),
                                   gnp(30, 0.5, random.Random(3)), gnp(50, 0.4, random.Random(9)),
                                   gnp(60, 0.5, random.Random(5)), random_tree(300, random.Random(6)),
