@@ -304,13 +304,14 @@ def embed(atom: ColoredGraph, target: Graph) -> Embedding | None:
     neighbor, its anchor, where one exists.  A candidate for a level must be
     free, of degree at least the atom vertex's, adjacent to the images of
     the placed neighbors and non-adjacent to the images of the placed
-    same-colored vertices.  On the masks of search_masks a level's
-    candidates are one bitmask of those conditions.  On a target too large
-    for them, a level with an anchor draws its candidates from the adjacency
-    list of the anchor's image and a level without one (the first, and the
-    first of each further atom component) from all target vertices, and
-    each draw is tested; this reads only the target's adjacency lists, so
-    the search needs O(n + m) memory.  Either way the candidates are tried
+    same-colored vertices.  Each call builds the masks of search_masks, on
+    which a level's candidates are one bitmask of those conditions.  On a
+    target too large for them (search_masks gives None), a level with an
+    anchor draws its candidates from the adjacency list of the anchor's
+    image and a level without one (the first, and the first of each
+    further atom component) from all target vertices, and each draw is
+    tested; this reads only the target's adjacency lists, so the search
+    needs O(n + m) memory.  Either way the candidates are tried
     in ascending order, so the first embedding found is the
     lexicographically first in that vertex order, and the two searches find
     the same one.
@@ -323,22 +324,14 @@ def embed(atom: ColoredGraph, target: Graph) -> Embedding | None:
     keeps each entered level's untried candidates in a list instead of
     recursing, so a call leaves no reference cycle behind.
     """
-    return _embed(atom, target, search_masks(target))
-
-
-def _embed(atom: ColoredGraph, target: Graph, masks) -> Embedding | None:
-    """embed on `masks`, what search_masks(target) returns, which the prover
-    computes once for all the atoms it searches on one target."""
     nh = atom.graph.n
     if nh > target.n:
         return None
     if nh == 0:
         return Embedding(())
     levels = _levels(atom)
-    if masks is None:
-        mapping = _search_lists(levels, target)
-    else:
-        mapping = _search_masks(levels, target.n, *masks)
+    masks = search_masks(target)
+    mapping = _search_lists(levels, target) if masks is None else _search_masks(levels, target.n, *masks)
     if mapping is None:
         return None
     if not embedding_valid(atom, target, mapping):
@@ -502,10 +495,11 @@ def prove_upper_bound(g: Graph, t: int, catalog: AtomCatalog) -> Verdict:
     star on t vertices, so a host whose bound is below t searches none; a
     tree host searches only forest atoms, a bipartite one only bipartite
     atoms.  Since a skipped atom cannot embed, the verdict, the atom index
-    and the embedding are those of searching every atom.  The masks of
-    search_masks are built once, for the first atom searched, and only up
-    to MASK_LIMIT_BITS; a larger g is searched on its adjacency lists, so
-    the prover's memory is O(n + m) beyond at most that many bits.
+    and the embedding are those of searching every atom.  Each atom left
+    is searched by embed, which builds g's masks only up to MASK_LIMIT_BITS
+    and searches a larger g on its adjacency lists, so the prover's memory
+    is O(n + m) beyond at most that many bits, and a host that searches no
+    atom builds no masks.
     """
     if catalog.t != t:
         raise ValueError(f"catalog is for t={catalog.t}, asked about t={t}")
@@ -514,13 +508,10 @@ def prove_upper_bound(g: Graph, t: int, catalog: AtomCatalog) -> Verdict:
     if catalog.triangle_free and not host[1] and g.has_triangle():
         raise ValueError("triangle-filtered catalog cannot bound a graph with a triangle")
     star = star_degree_bound(g)
-    masks, searched = None, False  # the masks are built for the first atom searched
     for idx, atom in enumerate(catalog.atoms):
         if star_degree_bound(atom.cg.graph) > star or refuted_by_cycles(atom.cg.graph, host):
             continue
-        if not searched:
-            masks, searched = search_masks(g), True
-        emb = _embed(atom.cg, g, masks)
+        emb = embed(atom.cg, g)
         if emb is not None:
             return Verdict(
                 False,

@@ -116,7 +116,12 @@ class Graph:
         return Graph(self.n + 1, (*adj, tuple(new)))
 
     def induced(self, vertices) -> "Graph":
+        """Return the subgraph induced by `vertices`, renumbered in ascending
+        order.  Duplicates collapse; a vertex outside 0..n-1 raises
+        ValueError."""
         keep = sorted(set(vertices))
+        if keep and not (0 <= keep[0] and keep[-1] < self.n):
+            raise ValueError(f"vertices must lie in 0..{self.n - 1}")
         pos = {v: i for i, v in enumerate(keep)}
         edges = [(pos[u], pos[v]) for u, v in self.edges() if u in pos and v in pos]
         return Graph.from_edges(len(keep), edges)

@@ -184,8 +184,11 @@ def check_cd(g: Graph, c: Coloring) -> Verdict:
 
 def is_nice_vertex(g: Graph, c: Coloring, v: int) -> bool:
     """True iff v has the top color t and is adjacent to color-dominating
-    vertices of all t-1 other colors."""
+    vertices of all t-1 other colors.  A vertex outside 0..n-1 raises
+    ValueError."""
     _require_total(g, c)
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
     t = c.k
     if c.colors[v] != t:
         return False

@@ -317,23 +317,21 @@ def test_prove_upper_bound_validations(d3_catalog, d4_triangle_free_catalog):
 
 
 def test_prove_upper_bound_calls_embed_once_per_atom_tried(monkeypatch, d3_catalog, d4_triangle_free_catalog):
-    # the prover searches through embed's private entry point, passing the
-    # search masks it built once for the host, the ones the public embed
-    # would build; the atoms it passes over are exactly the ones whose star
-    # degree bound exceeds the host's or that refuted_by_cycles names, none
-    # of which embeds
+    # the prover searches through the public embed, once per atom it tries,
+    # in catalog order; the atoms it passes over are exactly the ones whose
+    # star degree bound exceeds the host's or that refuted_by_cycles names,
+    # none of which embeds
     from zcoloring import atoms
     from zcoloring.oracle import star_degree_bound
 
     calls = []
-    search, private = atoms.embed, atoms._embed
+    search = atoms.embed
 
-    def spy(atom, target, masks):
+    def spy(atom, target):
         calls.append(atom)
-        assert masks == atoms.search_masks(target)
-        return private(atom, target, masks)
+        return search(atom, target)
 
-    monkeypatch.setattr(atoms, "_embed", spy)
+    monkeypatch.setattr(atoms, "embed", spy)
     hosts = [(Graph.from_edges(6, [(0, i) for i in range(1, 6)]), d3_catalog),
              (complete_graph(3), d3_catalog), (cycle_graph(6), d3_catalog),
              (cycle_graph(8), d4_triangle_free_catalog), (path_graph(7), d4_triangle_free_catalog),
@@ -355,6 +353,27 @@ def test_prove_upper_bound_calls_embed_once_per_atom_tried(monkeypatch, d3_catal
         assert calls == kept
         assert all(search(cg, g) is None for cg in skipped)
     assert skipped_by == {"star": True, "cycles": True}
+
+
+def test_prover_searches_nothing_below_the_star_bound(monkeypatch, d4_triangle_free_catalog):
+    # every vertex of a subdivided K_5 that has degree >= 3 has only
+    # neighbours of degree 2, so its star degree bound is 3 < t = 4: the
+    # prover refutes every atom by the star test, calls embed for none and
+    # builds no adjacency masks
+    from zcoloring import atoms
+    from zcoloring.oracle import star_degree_bound
+
+    base = complete_graph(5).edges()
+    host = Graph.from_edges(5 + len(base), [e for i, (u, v) in enumerate(base) for e in ((u, 5 + i), (5 + i, v))])
+    assert star_degree_bound(host) == 3
+
+    def refuse(*_args):
+        raise AssertionError("the prover searched an atom")
+
+    monkeypatch.setattr(atoms, "embed", refuse)
+    monkeypatch.setattr(Graph, "adjacency_masks", refuse)
+    verdict = prove_upper_bound(host, 4, d4_triangle_free_catalog)
+    assert verdict.passed and verdict.witness == {"bound": 3}
 
 
 def test_embed_searches_lists_above_the_mask_limit(monkeypatch, d3_catalog, d4_triangle_free_catalog):

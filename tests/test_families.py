@@ -113,6 +113,30 @@ def test_gt_b_number_is_at_least_t(t):
     assert nodes <= 2_000
 
 
+@pytest.mark.parametrize("t", range(3, 21))
+def test_gt_b_coloring_in_closed_form(t):
+    # the b-coloring of G_t with t colors, from gt_layout: side a gets 1,
+    # side b and w get 2, path vertex v_i gets i, and the leaves of v_i get
+    # the colors of 1..t other than i-1, i, i+1 in ascending order, so each
+    # v_i dominates every color class
+    g, lay = gen_Gt(t), gt_layout(t)
+    colors = [0] * lay["n"]
+    for v in lay["ht_a"]:
+        colors[v] = 1
+    for v in lay["ht_b"] + [lay["w"]]:
+        colors[v] = 2
+    for i, v in enumerate(lay["ft_path"], 1):
+        colors[v] = i
+        rest = [j for j in range(1, t + 1) if j not in (i - 1, i, i + 1)]
+        leaves = lay["ft_leaves"][v]
+        assert len(leaves) == len(rest)
+        for leaf, j in zip(leaves, rest):
+            colors[leaf] = j
+    c = Coloring(tuple(colors))
+    assert c.k == t
+    assert check_proper(g, c).passed and check_cd(g, c).passed
+
+
 def test_rk_small_cases():
     r1, r2 = gen_Rk(1), gen_Rk(2)
     assert r1.graph.n == 1 and r2.graph.n == 2

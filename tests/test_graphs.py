@@ -119,6 +119,14 @@ def test_graph_helpers():
     assert g.induced([0, 1, 2]).m == 2
 
 
+def test_induced_rejects_out_of_range_vertices():
+    p3 = path_graph(3)
+    assert p3.induced([2, 0, 2]) == Graph.from_edges(2, [])
+    for vertices in ([0, 7], [3], [-1, 1]):
+        with pytest.raises(ValueError, match=r"vertices must lie in 0\.\.2"):
+            p3.induced(vertices)
+
+
 def test_drop_edge_matches_rebuild():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

@@ -137,6 +137,17 @@ def test_nice_vertex_requires_top_color():
             assert not is_nice_vertex(C6, C6_COLORING, v)
 
 
+def test_nice_vertex_range_check():
+    # on P_3 colored (2, 1, 2), vertex 2 is nice; -1 must not answer for it,
+    # and 3 must not reach past the color list
+    p3, c = path_graph(3), Coloring((2, 1, 2))
+    assert is_nice_vertex(p3, c, 2)
+    with pytest.raises(ValueError, match=r"vertex -1 out of range 0\.\.2"):
+        is_nice_vertex(p3, c, -1)
+    with pytest.raises(ValueError, match=r"vertex 3 out of range 0\.\.2"):
+        is_nice_vertex(p3, c, 3)
+
+
 def test_z_p5_passes_with_star():
     p5 = path_graph(5)
     verdict = check_z(p5, Coloring((1, 2, 3, 1, 2)))
