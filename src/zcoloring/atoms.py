@@ -77,11 +77,6 @@ def _by_certificate(pairs) -> dict[bytes, tuple[ColoredGraph, str]]:
     return seen
 
 
-def _dedup(pairs) -> list[tuple[ColoredGraph, str]]:
-    """The pairs `_by_certificate` keeps, in input order."""
-    return list(_by_certificate(pairs).values())
-
-
 # ---------------------------------------------------------------------------
 # Supplying missing colors, shared by Phase I and grundify
 
@@ -139,7 +134,7 @@ def phase1_generate(t: int) -> list[ColoredGraph]:
         raise ValueError("t must be >= 0")
     if t > MAX_T:
         raise ValueError(f"t={t} exceeds the configured maximum {MAX_T}")
-    return [cg for cg, _ in _dedup(_phase1_with_prov(t))]
+    return [cg for cg, _ in _by_certificate(_phase1_with_prov(t)).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +170,7 @@ def grundify(cg: ColoredGraph, k: int) -> list[ColoredGraph]:
     color-preserving isomorphism class.  If class k is already Grundy the
     input comes back unchanged.
     """
-    return [out for out, _ in _dedup(_grundify_with_prov(cg, k))]
+    return [out for out, _ in _by_certificate(_grundify_with_prov(cg, k)).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +520,11 @@ def prove_upper_bound(g: Graph, t: int, catalog: AtomCatalog) -> Verdict:
 # Catalog files
 
 
-def atom_record(atom: Atom, t: int) -> str:
-    return f"t {t}\n" + serialize_colored_graph(atom.cg) + f"provenance {atom.provenance}\n"
-
-
 def catalog_to_text(catalog: AtomCatalog) -> str:
-    header = f"zatoms t {catalog.t} triangle_free {1 if catalog.triangle_free else 0} count {len(catalog.atoms)}\n"
-    return header + "".join("\n" + atom_record(a, catalog.t) for a in catalog.atoms)
+    t = catalog.t
+    header = f"zatoms t {t} triangle_free {1 if catalog.triangle_free else 0} count {len(catalog.atoms)}\n"
+    return header + "".join(f"\nt {t}\n" + serialize_colored_graph(a.cg) + f"provenance {a.provenance}\n"
+                            for a in catalog.atoms)
 
 
 def _header_int(key: str, value: str) -> int:
@@ -541,7 +534,7 @@ def _header_int(key: str, value: str) -> int:
         raise ValueError(f"catalog: {key} must be an integer, got {value!r}") from None
 
 
-# an atom as atom_record writes it, with a provenance of printable ASCII
+# an atom as catalog_to_text writes it, with a provenance of printable ASCII
 _ATOM = re.compile(r"t ([0-9]+)\n(" + RECORD_PATTERN + r")provenance(?: ([ -~]*[!-~]))?\n?")
 
 
@@ -557,9 +550,13 @@ def catalog_from_text(text: str) -> AtomCatalog:
     chunks = [c for c in text.split("\n\n") if c.strip()]
     if not chunks:
         raise ValueError("empty catalog: missing 'zatoms' header")
-    head = chunks[0].strip().splitlines()[0].split()
+    first, *extra = [line for line in chunks[0].splitlines() if line.strip()]
+    head = first.split()
     if head[0] != "zatoms":
         raise ValueError("not a z-atom catalog")
+    # an atom glued to the header would otherwise be dropped unread
+    if extra:
+        raise ValueError(f"catalog: line {extra[0]!r} follows the header without a blank line")
     if len(head) != 7 or head[1::2] != ["t", "triangle_free", "count"]:
         raise ValueError(f"malformed catalog header {' '.join(head)!r}, "
                          "expected 'zatoms t T triangle_free 0|1 count N'")

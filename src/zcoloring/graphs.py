@@ -118,7 +118,9 @@ class Graph:
     def induced(self, vertices) -> "Graph":
         """Return the subgraph induced by `vertices`, renumbered in ascending
         order.  Duplicates collapse; a vertex outside 0..n-1 raises
-        ValueError."""
+        ValueError.  Public because an embedded t-atom shows only that some
+        induced subgraph G[S] has z-number >= t, the hereditary argument the
+        G_4 tests check on G_4[S]."""
         keep = sorted(set(vertices))
         if keep and not (0 <= keep[0] and keep[-1] < self.n):
             raise ValueError(f"vertices must lie in 0..{self.n - 1}")
@@ -142,6 +144,9 @@ class Graph:
         return False
 
     def is_connected(self) -> bool:
+        """Whether every vertex is reachable from vertex 0.  Public because
+        the family constructors promise connected graphs, which their tests
+        check with it."""
         if self.n <= 1:
             return True
         seen = {0}
@@ -160,8 +165,9 @@ class Coloring:
     """Total color assignment, vertex index -> color in 1..k.
 
     ``k`` is the maximum color in use.  A coloring is *normalized* when every
-    color 1..k actually appears; the reduction algorithms renumber classes so
-    their outputs are always normalized, but inputs need not be.
+    color 1..k actually appears, that is when ``c.normalize() == c``; the
+    reduction algorithms renumber classes so their outputs are always
+    normalized, but inputs need not be.
     """
 
     colors: tuple[int, ...]
@@ -185,10 +191,6 @@ class Coloring:
         for v, c in enumerate(self.colors):
             out[c - 1].append(v)
         return out
-
-    def is_normalized(self) -> bool:
-        used = set(self.colors)
-        return used == set(range(1, self.k + 1)) or not self.colors
 
     def normalize(self) -> "Coloring":
         """Compact unused colors away, shifting higher classes down."""
@@ -402,45 +404,35 @@ def parse_coloring_record(text: str) -> ColoredGraph:
 
 def parse_matched_record(text: str) -> ColoredGraph:
     """parse_coloring_record on a text that RECORD_PATTERN is known to
-    match: read by position, each field's integers in one call, when it
-    passes every check, else through parse_record_lines."""
-    try:
-        cg = _pattern_record(text)
-    except ValueError:  # the line reader names the check that failed
-        cg = None
-    return cg if cg is not None else parse_record_lines(text.splitlines())
-
-
-def _pattern_record(text: str) -> ColoredGraph | None:
-    """The record in a text that RECORD_PATTERN matches; None, or the
-    ValueError of int(), Coloring or Graph.from_edges, where a check of
-    parse_record_lines fails.  Only the class lines that serialize_coloring
-    writes, every class in color order, are accepted.  The graph is built
-    last, so a record that falls through to the line reader has not built
-    one."""
+    match.  The record is read by position, each field's integers in one
+    call, when it passes every check of parse_record_lines; any other
+    record, and any ValueError of int(), Coloring or Graph.from_edges, falls
+    through to parse_record_lines, which names the check that failed.  Only
+    the class lines that serialize_coloring writes, every class in color
+    order, pass.  The graph is built last, so a record that falls through
+    has not built one."""
     lines = text.split("\n")  # n, edges, k, colors, class lines, star?, ""
-    n = int(lines[0][2:])
-    # tuple() of a list, not of the map: a tuple of more than 10 items built
-    # from an iterator grows by resizing, and over a bound pass the freed
-    # sizes raised peak RSS by about 2 MiB
-    colors = tuple(list(map(int, lines[3][7:].split())))
-    # checked before the graph is built, so n is bounded by the text's size
-    if len(colors) != n:
-        return None
-    c = Coloring(colors)
-    k = int(lines[2][2:])
-    # k <= n bounds the k lists of Coloring.classes()
-    if c.k != k or k > n:
-        return None
-    star = None
-    if lines[-2].startswith("star"):
-        star = tuple(list(map(int, lines.pop(-2)[5:].split())))
-        if star and max(star) >= n:
-            return None
-    if lines[4:-1] != [f"class {j} " + " ".join(map(str, cls)) for j, cls in enumerate(c.classes(), start=1)]:
-        return None
-    ends = list(map(int, lines[1][6:].replace("-", " ").split()))
-    return ColoredGraph(Graph.from_edges(n, zip(ends[0::2], ends[1::2])), c, star)
+    try:
+        n = int(lines[0][2:])
+        # tuple() of a list, not of the map: a tuple of more than 10 items
+        # built from an iterator grows by resizing, and over a bound pass the
+        # freed sizes raised peak RSS by about 2 MiB
+        colors = tuple(list(map(int, lines[3][7:].split())))
+        # checked before the graph is built, so n is bounded by the text's size
+        if len(colors) == n:
+            c = Coloring(colors)
+            star = None
+            if lines[-2].startswith("star"):
+                star = tuple(list(map(int, lines.pop(-2)[5:].split())))
+            # k <= n bounds the k lists of Coloring.classes()
+            if c.k == int(lines[2][2:]) <= n and not (star and max(star) >= n):
+                classes = [f"class {j} " + " ".join(map(str, cls)) for j, cls in enumerate(c.classes(), start=1)]
+                if lines[4:-1] == classes:
+                    ends = list(map(int, lines[1][6:].replace("-", " ").split()))
+                    return ColoredGraph(Graph.from_edges(n, zip(ends[0::2], ends[1::2])), c, star)
+    except ValueError:
+        pass
+    return parse_record_lines(text.splitlines())
 
 
 def parse_record_lines(lines) -> ColoredGraph:

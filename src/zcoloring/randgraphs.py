@@ -1,4 +1,5 @@
-"""Seeded random graph and tree generators for benchmarks and property tests."""
+"""Seeded random graphs for benchmarks and property tests: Erdos-Renyi
+G(n, p) and uniform random labeled trees."""
 
 from __future__ import annotations
 
@@ -40,11 +41,3 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     edges.append((heapq.heappop(leaves), leaves[0]))
     return Graph.from_edges(n, edges)
 
-
-def random_connected_gnp(n: int, p: float, rng: random.Random, max_tries: int = 10000) -> Graph:
-    """Rejection-sample G(n, p) until connected."""
-    for _ in range(max_tries):
-        g = gnp(n, p, rng)
-        if g.is_connected():
-            return g
-    raise RuntimeError(f"no connected G({n},{p}) sample in {max_tries} tries")

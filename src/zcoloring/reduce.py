@@ -182,10 +182,6 @@ class _ColorCounts:
             self.require_proper(caller)
             raise ValueError(f"{caller} requires a Grundy coloring")
 
-    def require_cd(self, caller: str) -> None:
-        if len(cd_witnesses(self.colors, cd_flags(self.colors, self.nbc, self.k))) < self.k:
-            raise ValueError(f"{caller} requires a color-dominating coloring")
-
 
 def _grundy_table(g: Graph, c: Coloring, caller: str) -> _ColorCounts:
     """The table of c for a stage that needs a Grundy input.  A Grundy
@@ -313,11 +309,12 @@ def _z(table: _ColorCounts, moves: list) -> int:
     is proper, Grundy and CD; appends the moves and returns the number of
     rounds."""
     table.require_grundy("z_transform")
-    table.require_cd("z_transform")
     adj, colors, nbc = table.adj, table.colors, table.nbc
     rounds = 0
     t = table.k
     cd = cd_flags(colors, nbc, t)
+    if len(cd_witnesses(colors, cd)) < t:
+        raise ValueError("z_transform requires a color-dominating coloring")
     # every top vertex of a Grundy coloring is CD, so a nice vertex is
     # exactly the center of a dominating star
     while t > 1 and star_from(adj, colors, cd, t) is None:

@@ -26,7 +26,7 @@ from zcoloring import (
 )
 from zcoloring.atoms import embedding_valid
 from zcoloring.graphs import serialize_colored_graph
-from zcoloring.randgraphs import gnp, random_connected_gnp
+from zcoloring.randgraphs import gnp
 
 
 def test_phase1_t0_single_vertex():
@@ -106,7 +106,7 @@ def test_raw_candidates_golden():
     # before dedup: Phase I for t = 0..4 and each grundify stage of t = 3,
     # triangle-free t = 4 and unfiltered t = 4; the digest was taken while
     # Phase I and grundify still built their option lists separately
-    from zcoloring.atoms import _dedup, _grundify_with_prov, _phase1_with_prov
+    from zcoloring.atoms import _by_certificate, _grundify_with_prov, _phase1_with_prov
 
     digest = hashlib.sha256()
 
@@ -117,7 +117,7 @@ def test_raw_candidates_golden():
     for t in range(5):
         feed(_phase1_with_prov(t))
     for t, triangle_free in ((3, False), (4, True), (4, False)):
-        family = _dedup(_phase1_with_prov(t - 1))
+        family = _by_certificate(_phase1_with_prov(t - 1)).values()
         for k in range(t - 1, 1, -1):
             if triangle_free:
                 family = [(cg, p) for cg, p in family if not cg.graph.has_triangle()]
@@ -127,7 +127,7 @@ def test_raw_candidates_golden():
                 for out, extra in _grundify_with_prov(cg, k)
             ]
             feed(grown)
-            family = _dedup(grown)
+            family = _by_certificate(grown).values()
     assert digest.hexdigest() == "fbd74bc8152e974d3619cabdd61a146ef94c93fe40a5175fbefc7d7e7e830d93"
 
 
@@ -474,6 +474,9 @@ def test_catalog_round_trip(d3_catalog):
     ("zatoms t 3 triangle_free 2 count 0\n", "triangle_free must be 0 or 1"),
     ("zatoms t 3 triangle_free 0 count many\n", "count must be an integer"),
     ("zatoms t 3 triangle_free 0 count 1\n\nt x\nn 1\nk 1\ncolors 1\n", "atom t must be an integer"),
+    # an atom glued to the header, with count lowered to the atoms after it
+    ("zatoms t 1 triangle_free 0 count 0\nt 1\nn 1\nedges\nk 1\ncolors 1\nclass 1 0\nstar 0\nprovenance\n",
+     "line 't 1' follows the header without a blank line"),
 ])
 def test_catalog_from_text_rejects_malformed_input(text, message):
     with pytest.raises(ValueError, match=message):
@@ -483,16 +486,20 @@ def test_catalog_from_text_rejects_malformed_input(text, message):
 def reference_catalog_from_text(text):
     """`catalog_from_text` as it was before atoms that `atoms._ATOM` matches
     were read by pattern; the body is unchanged but for the record lines
-    going to the line reader, which the joined text reached before."""
+    going to the line reader, which the joined text reached before, and the
+    header check that refuses an atom glued to the header, made in both."""
     from zcoloring import graphs
     from zcoloring.atoms import Atom, AtomCatalog, _header_int
 
     chunks = [c for c in text.split("\n\n") if c.strip()]
     if not chunks:
         raise ValueError("empty catalog: missing 'zatoms' header")
-    head = chunks[0].strip().splitlines()[0].split()
+    first, *extra = [line for line in chunks[0].splitlines() if line.strip()]
+    head = first.split()
     if head[0] != "zatoms":
         raise ValueError("not a z-atom catalog")
+    if extra:
+        raise ValueError(f"catalog: line {extra[0]!r} follows the header without a blank line")
     if len(head) != 7 or head[1::2] != ["t", "triangle_free", "count"]:
         raise ValueError(f"malformed catalog header {' '.join(head)!r}, "
                          "expected 'zatoms t T triangle_free 0|1 count N'")
@@ -614,14 +621,14 @@ def test_atoms_have_valid_stars_and_minimal_edges(d3_catalog, d4_triangle_free_c
 def test_minimality_filter_is_load_bearing(d4_triangle_free_catalog):
     # the raw grundify closure is much bigger than the catalog; the exact
     # edge-minimality filter is what cuts it down
-    from zcoloring.atoms import _dedup, _grundify_with_prov, _phase1_with_prov
+    from zcoloring.atoms import _by_certificate, _grundify_with_prov, _phase1_with_prov
 
     family = [(cg, p) for cg, p in _phase1_with_prov(3) if not cg.graph.has_triangle()]
     for k in (3, 2):
         grown = []
         for cg, _prov in family:
             grown.extend(_grundify_with_prov(cg, k))
-        family = _dedup([(cg, p) for cg, p in grown if not cg.graph.has_triangle()])
+        family = _by_certificate([(cg, p) for cg, p in grown if not cg.graph.has_triangle()]).values()
     assert len(family) == 104
     assert len(d4_triangle_free_catalog.atoms) == 25
 
@@ -687,7 +694,10 @@ def test_soundness_small_sweep(d3_catalog):
     checked = 0
     for _ in range(300):
         n = rng.randint(2, 6)
-        g = random_connected_gnp(n, rng.choice([0.4, 0.6]), rng)
+        p = rng.choice([0.4, 0.6])
+        g = gnp(n, p, rng)
+        while not g.is_connected():
+            g = gnp(n, p, rng)
         if exact_z(g).value >= 3:
             checked += 1
             assert any(embed(a.cg, g) is not None for a in d3_catalog.atoms)

@@ -484,8 +484,8 @@ K3_ATOM = "t 3\nn 3\nedges 0-1 0-2 1-2\nk 3\ncolors 1 2 3\nstar 0 1 2\n"
 
 
 def test_atoms_bound_malformed_catalog_exits_2(tmp_path, capsys):
-    star = tmp_path / "k15.col"
-    star.write_text("p edge 6 5\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 1 6\n")
+    tri = tmp_path / "k3.col"
+    tri.write_text(to_dimacs(complete_graph(3)))
     for name, text, message in (
         ("empty", "", "empty catalog"),
         ("short", "zatoms t 3\n", "malformed catalog header"),
@@ -494,10 +494,14 @@ def test_atoms_bound_malformed_catalog_exits_2(tmp_path, capsys):
          "atom t differs from catalog t"),
         ("count", "zatoms t 3 triangle_free 0 count 2\n\n" + K3_ATOM,
          "catalog declares 2 atoms, found 1"),
+        # dropping the glued atom would match count 0 and certify z <= 2 for
+        # K3, whose z-number is 3
+        ("glued", "zatoms t 3 triangle_free 0 count 0\n" + K3_ATOM,
+         "catalog: line 't 3' follows the header without a blank line"),
     ):
         catalog = tmp_path / f"{name}.catalog"
         catalog.write_text(text)
-        assert main(["atoms", "bound", str(star), "--t", "3", "--catalog", str(catalog)]) == 2
+        assert main(["atoms", "bound", str(tri), "--t", "3", "--catalog", str(catalog)]) == 2
         assert message in capsys.readouterr().err
 
 

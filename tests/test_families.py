@@ -108,7 +108,7 @@ def test_gt_b_number_is_at_least_t(t):
     g = gen_Gt(t)
     colors, nodes = _search(g, t, False)
     c = Coloring(tuple(colors))
-    assert c.k == t and c.is_normalized()
+    assert c.k == t and c.normalize() == c
     assert check_proper(g, c).passed and check_cd(g, c).passed
     assert nodes <= 2_000
 

@@ -187,7 +187,7 @@ def test_drop_edge_rejects_missing_and_out_of_range():
 def test_coloring_basics():
     c = Coloring((1, 3, 1))
     assert c.k == 3
-    assert not c.is_normalized()
+    assert c.normalize() != c
     assert c.normalize().colors == (1, 2, 1)
     assert Coloring((2, 1, 2)).classes() == [[1], [0, 2]]
     with pytest.raises(ValueError):

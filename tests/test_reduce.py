@@ -94,7 +94,7 @@ def test_grundy_reduce_properties():
         assert check_proper(g, start).passed
         out, trace = grundy_reduce(g, start)
         assert check_grundy(g, out).passed
-        assert out.is_normalized()
+        assert out.normalize() == out
         assert out.k <= start.k
         assert len(trace.moves) <= g.n
         moved = [v for v, _f, _t in trace.moves]
@@ -148,7 +148,7 @@ def test_cd_gcd_properties():
         out, trace = cd_gcd_transform(g, start)
         assert check_grundy(g, out).passed
         assert check_cd(g, out).passed
-        assert out.is_normalized()
+        assert out.normalize() == out
         assert out.k <= start.k
         assert len(trace.moves) <= g.n
         for _v, frm, to in trace.moves:
@@ -185,7 +185,7 @@ def test_z_transform_properties_random():
         c, _ = cd_gcd_transform(g, c)
         out, trace = z_transform(g, c)
         assert check_z(g, out).passed
-        assert out.is_normalized()
+        assert out.normalize() == out
         assert out.k <= c.k
         assert trace.iterations <= g.n
         again, trace2 = z_transform(g, out)
@@ -544,7 +544,7 @@ def test_complementary_p5_reaches_two():
     out = complementary(p5, Coloring((1, 2, 3, 1, 2)), budget=1000, rng_seed=0)
     assert out.k == 2
     assert check_proper(p5, out).passed
-    assert out.is_normalized()
+    assert out.normalize() == out
 
 
 def test_complementary_kn_stays_n():
